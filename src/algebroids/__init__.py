@@ -34,7 +34,6 @@ from .calculus import (
     GradedElement,
     OperatorValue,
     ReconstructionError,
-    degree_scale,
     delta_reconstruct,
     exterior_derivative,
     interior_product,
@@ -84,7 +83,6 @@ __all__ = [
     "GradedElement",
     "OperatorValue",
     "ReconstructionError",
-    "degree_scale",
     "delta_reconstruct",
     "exterior_derivative",
     "interior_product",

@@ -15,24 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .expr import Expr, validate_chart
-
-ZERO = Expr.const(0)
-ONE = Expr.const(1)
-
-
-def _as_expr(value, chart, what):
-    if isinstance(value, Expr):
-        expr = value
-    else:
-        try:
-            expr = Expr.const(value)
-        except TypeError:
-            raise TypeError(f"{what}: expected an Expr or rational, got {value!r}") from None
-    foreign = expr.variables() - set(chart)
-    if foreign:
-        raise ValueError(f"{what}: foreign coordinate '{sorted(foreign)[0]}'")
-    return expr
+from .expr import ONE, ZERO, as_expr, validate_chart
 
 
 class Algebroid:
@@ -115,7 +98,7 @@ def new_algebroid(chart, rank, anchor=None, structure=None):
             row = list(row)
             if len(row) != n:
                 raise ValueError(f"anchor row {a} has {len(row)} entries, expected {n}")
-            rows.append(tuple(_as_expr(v, chart, f"anchor[{a}][{i}]") for i, v in enumerate(row, start=1)))
+            rows.append(tuple(as_expr(v, chart, f"anchor[{a}][{i}]") for i, v in enumerate(row, start=1)))
         rows = tuple(rows)
 
     table = {}
@@ -128,7 +111,7 @@ def new_algebroid(chart, rank, anchor=None, structure=None):
             for c, value in entries.items():
                 if not (1 <= c <= rank):
                     raise ValueError(f"structure component index {c} out of range 1..{rank}")
-                expr = _as_expr(value, chart, f"C[{c}][{a}][{b}]")
+                expr = as_expr(value, chart, f"C[{c}][{a}][{b}]")
                 if expr:
                     cleaned[c] = expr
             if cleaned:
@@ -257,31 +240,8 @@ def anchor_push(algebroid, P):
         raise ValueError("element does not live over this algebroid's chart/rank")
     if P.variance != calculus.MULTIVECTOR:
         raise ValueError("anchor_push applies to multivectors")
-
-    n = len(algebroid.chart)
-    target = construct_tangent(n, algebroid.chart)
-    images = []
-    for a in range(1, algebroid.rank + 1):
-        comps = {}
-        for i in range(1, n + 1):
-            entry = algebroid.anchor_entry(a, i)
-            if entry:
-                comps[(i,)] = entry
-        images.append(calculus.GradedElement(target, calculus.MULTIVECTOR, {1: comps}))
-
-    total = calculus.GradedElement(target, calculus.MULTIVECTOR, {})
-    for degree, table in P.components.items():
-        if degree == 0:
-            total = total + calculus.GradedElement(
-                target, calculus.MULTIVECTOR, {0: dict(table)}
-            )
-            continue
-        for index, coeff in table.items():
-            term = images[index[0] - 1]
-            for a in index[1:]:
-                term = calculus.wedge(term, images[a - 1])
-            total = total + term.scale(coeff)
-    return total
+    target = construct_tangent(len(algebroid.chart), algebroid.chart)
+    return calculus._wedge_push(P, target, algebroid.anchor)
 
 
 def verify_axioms(algebroid):

@@ -19,13 +19,10 @@ from __future__ import annotations
 from itertools import combinations
 
 from . import algebroid as _alg
-from .expr import Expr, validate_chart
+from .expr import ONE, ZERO, Expr, validate_chart
 
 FORM = "form"
 MULTIVECTOR = "multivector"
-
-ZERO = Expr.const(0)
-ONE = Expr.const(1)
 
 
 def _as_coefficient(value):
@@ -243,6 +240,27 @@ def wedge(P, Q):
                     term = f * g
                     _accumulate(out, p + q, K, -term if parity else term)
     return GradedElement(P.algebroid, P.variance, out)
+
+
+def _wedge_push(element, target, rows):
+    """Push an element's coefficients onto multivectors over `target`: scalars
+    pass through, basis element a maps to the degree-1 multivector with
+    components rows[a - 1], and higher degrees extend wedge-multiplicatively."""
+    images = [
+        GradedElement(target, MULTIVECTOR, {1: {(j,): value for j, value in enumerate(row, start=1)}})
+        for row in rows
+    ]
+    total = GradedElement(target, MULTIVECTOR, {})
+    for degree, table in element.components.items():
+        if degree == 0:
+            total = total + GradedElement(target, MULTIVECTOR, {0: dict(table)})
+            continue
+        for index, coeff in table.items():
+            term = images[index[0] - 1]
+            for a in index[1:]:
+                term = wedge(term, images[a - 1])
+            total = total + term.scale(coeff)
+    return total
 
 
 def _interior_basis(a, components):
@@ -518,17 +536,6 @@ def schouten_oracle(algebroid, P, Q):
                 algebroid, P.homogeneous_part(p), p, Q.homogeneous_part(q), q
             )
     return total
-
-
-def degree_scale(P):
-    """The grading operator: multiply each degree-p component by p."""
-    out = {}
-    for degree, table in P.components.items():
-        if degree == 0:
-            continue
-        for index, value in table.items():
-            _accumulate(out, degree, index, value * degree)
-    return GradedElement(P.algebroid, P.variance, out)
 
 
 class ReconstructionError(ValueError):

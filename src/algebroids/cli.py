@@ -4,7 +4,7 @@ A model file is line-oriented with sections. [algebroid] declares the chart,
 rank, anchor entries and structure functions; optional [multivector NAME] and
 [form NAME] blocks hold graded elements; [poisson] declares a chart and
 bivector entries. Exit codes: 0 success, 1 verification failure (with a
-residual report), 2 usage or parse errors.
+residual report), 2 bad input or usage, with a one-line message.
 
 Commands that print tables reuse the model-file syntax, so outputs can be fed
 back in; element results print one `[indices] = expr` line per component.
@@ -17,18 +17,14 @@ import json
 import re
 import sys
 from dataclasses import dataclass, field
+from itertools import combinations
+from typing import Callable, NamedTuple
 
 from . import algebroid as _alg
 from . import calculus as _cal
 from . import dualpoisson as _dual
 from . import poisson as _poi
-from .expr import ParseError, parse, validate_chart
-
-ALGEBROID_COMMANDS = (
-    "check", "bracket", "d", "lie", "interior", "pair", "wedge",
-    "schouten", "reconstruct", "dual", "dual-verify",
-)
-POISSON_COMMANDS = ("poisson-check", "sharp", "cotangent", "koszul", "lichnerowicz")
+from .expr import ZERO, ParseError, parse, validate_chart
 
 
 class ModelError(Exception):
@@ -40,49 +36,40 @@ class CommandError(Exception):
 
 
 @dataclass
-class AlgebroidSection:
-    base: tuple = ()
-    rank: int = 0
-    anchor: dict = field(default_factory=dict)  # (a, i) -> raw expr string
-    structure: dict = field(default_factory=dict)  # (c, a, b) -> raw expr string
-
-    def build(self):
-        rows = [[parse(self.anchor.get((a, i), "0"), self.base) for i in range(1, len(self.base) + 1)]
-                for a in range(1, self.rank + 1)]
-        table = {}
-        for (c, a, b), text in self.structure.items():
-            table.setdefault((a, b), {})[c] = parse(text, self.base)
-        return _alg.new_algebroid(self.base, self.rank, rows, table)
-
-
-@dataclass
-class PoissonSection:
-    base: tuple = ()
-    entries: dict = field(default_factory=dict)  # (i, j) -> raw expr string
-
-    def build(self, verify=True):
-        table = {key: parse(text, self.base) for key, text in self.entries.items()}
-        return _poi.new_poisson(self.base, table, verify=verify)
-
-
-@dataclass
 class ElementBlock:
-    kind: str  # "multivector" or "form"
+    kind: str  # the variance: "multivector" or "form"
     name: str
-    entries: dict = field(default_factory=dict)  # index tuple -> raw expr string
+    entries: dict = field(default_factory=dict)  # index tuple -> Expr (raw text while the file is read)
 
 
 @dataclass
 class ModelFile:
-    algebroid: AlgebroidSection = None
-    poisson: PoissonSection = None
-    elements: dict = field(default_factory=dict)
+    """A loaded model of built objects. The algebroid's axioms and the Poisson
+    bivector's Jacobi identity are not checked on loading."""
+
+    algebroid: _alg.Algebroid = None
+    poisson: _poi.PoissonStructure = None
+    elements: dict = field(default_factory=dict)  # name -> ElementBlock
+
+
+@dataclass
+class _Section:
+    """An [algebroid] or [poisson] section as read, before its entries parse."""
+
+    header: str
+    base: tuple = ()
+    rank: int = 0
+    entries: dict = field(default_factory=dict)  # (key kind, *indices) -> raw expr string
 
 
 _QUOTED_RE = re.compile(r'^"([^"]*)"$')
-_ANCHOR_RE = re.compile(r"^anchor\[(\d+)\]\[(\d+)\]$")
-_STRUCT_RE = re.compile(r"^C\[(\d+)\]\[(\d+)\]\[(\d+)\]$")
-_BIVEC_RE = re.compile(r"^L\[(\d+)\]\[(\d+)\]$")
+_SECTION_KEYS = {
+    "algebroid": (
+        ("anchor", re.compile(r"^anchor\[(\d+)\]\[(\d+)\]$")),
+        ("C", re.compile(r"^C\[(\d+)\]\[(\d+)\]\[(\d+)\]$")),
+    ),
+    "poisson": (("L", re.compile(r"^L\[(\d+)\]\[(\d+)\]$")),),
+}
 _TUPLE_RE = re.compile(r"^\d+(\s*,\s*\d+)*$")
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
@@ -112,8 +99,12 @@ def _parse_base_list(value, where):
 
 
 def parse_model(text, source="<model>"):
-    model = ModelFile()
-    section = None  # ("algebroid",) | ("poisson",) | ("element", name)
+    """Read model-file text into a ModelFile. Quoted expressions are parsed
+    once each, after the whole text is read, because a base list may follow
+    the entries that use it."""
+    sections = {}
+    elements = {}
+    current = None  # the _Section or ElementBlock that entries go to
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         where = f"{source}:{lineno}"
@@ -123,127 +114,131 @@ def parse_model(text, source="<model>"):
             if not line.endswith("]"):
                 raise ModelError(f"{where}:{len(raw)}: unterminated section header")
             header = line[1:-1].strip()
-            if header == "algebroid":
-                if model.algebroid is not None:
-                    raise ModelError(f"{where}: duplicate [algebroid] section")
-                model.algebroid = AlgebroidSection()
-                section = ("algebroid",)
-            elif header == "poisson":
-                if model.poisson is not None:
-                    raise ModelError(f"{where}: duplicate [poisson] section")
-                model.poisson = PoissonSection()
-                section = ("poisson",)
-            else:
-                parts = header.split()
-                if len(parts) != 2 or parts[0] not in ("multivector", "form") or not _NAME_RE.match(parts[1]):
-                    raise ModelError(f"{where}: unknown section header [{header}]")
-                kind, name = parts
-                if name in model.elements:
-                    raise ModelError(f"{where}: duplicate element name {name!r}")
-                model.elements[name] = ElementBlock(kind, name)
-                section = ("element", name)
+            if header in _SECTION_KEYS:
+                if header in sections:
+                    raise ModelError(f"{where}: duplicate [{header}] section")
+                current = sections[header] = _Section(header)
+                continue
+            parts = header.split()
+            if len(parts) != 2 or parts[0] not in (_cal.MULTIVECTOR, _cal.FORM) or not _NAME_RE.match(parts[1]):
+                raise ModelError(f"{where}: unknown section header [{header}]")
+            kind, name = parts
+            if name in elements:
+                raise ModelError(f"{where}: duplicate element name {name!r}")
+            current = elements[name] = ElementBlock(kind, name)
             continue
         if "=" not in line:
             raise ModelError(f"{where}:1: expected 'key = value'")
-        if section is None:
+        if current is None:
             raise ModelError(f"{where}: entry outside of any section")
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if section[0] == "algebroid":
-            sec = model.algebroid
-            if key == "base":
-                sec.base = _parse_base_list(value, f"{where}: base")
-            elif key == "rank":
-                try:
-                    sec.rank = int(value)
-                except ValueError:
-                    raise ModelError(f"{where}: rank must be an integer, got {value!r}") from None
-            elif m := _ANCHOR_RE.match(key):
-                a, i = int(m.group(1)), int(m.group(2))
-                if (a, i) in sec.anchor:
-                    raise ModelError(f"{where}: duplicate key {key}")
-                sec.anchor[(a, i)] = _unquote(value, f"{where}: {key}")
-            elif m := _STRUCT_RE.match(key):
-                c, a, b = (int(m.group(g)) for g in (1, 2, 3))
-                if (c, a, b) in sec.structure:
-                    raise ModelError(f"{where}: duplicate key {key}")
-                sec.structure[(c, a, b)] = _unquote(value, f"{where}: {key}")
-            else:
-                raise ModelError(f"{where}: unknown key {key!r} in [algebroid]")
-        elif section[0] == "poisson":
-            sec = model.poisson
-            if key == "base":
-                sec.base = _parse_base_list(value, f"{where}: base")
-            elif m := _BIVEC_RE.match(key):
-                i, j = int(m.group(1)), int(m.group(2))
-                if (i, j) in sec.entries:
-                    raise ModelError(f"{where}: duplicate key {key}")
-                sec.entries[(i, j)] = _unquote(value, f"{where}: {key}")
-            else:
-                raise ModelError(f"{where}: unknown key {key!r} in [poisson]")
-        else:
-            block = model.elements[section[1]]
+        if isinstance(current, ElementBlock):
             if key == "scalar":
                 index = ()
             elif _TUPLE_RE.match(key):
                 index = tuple(int(t) for t in key.split(","))
             else:
                 raise ModelError(f"{where}: bad element index {key!r}")
-            if index in block.entries:
-                raise ModelError(f"{where}: duplicate index {key!r} in [{block.kind} {block.name}]")
-            block.entries[index] = _unquote(value, f"{where}: {key}")
-    _validate_model(model, source)
+            if index in current.entries:
+                raise ModelError(f"{where}: duplicate index {key!r} in [{current.kind} {current.name}]")
+            current.entries[index] = _unquote(value, f"{where}: {key}")
+        elif key == "base":
+            current.base = _parse_base_list(value, f"{where}: base")
+        elif key == "rank" and current.header == "algebroid":
+            try:
+                current.rank = int(value)
+            except ValueError:
+                raise ModelError(f"{where}: rank must be an integer, got {value!r}") from None
+        else:
+            for kind, pattern in _SECTION_KEYS[current.header]:
+                if m := pattern.match(key):
+                    break
+            else:
+                raise ModelError(f"{where}: unknown key {key!r} in [{current.header}]")
+            entry = (kind, *(int(g) for g in m.groups()))
+            if entry in current.entries:
+                raise ModelError(f"{where}: duplicate key {key}")
+            current.entries[entry] = _unquote(value, f"{where}: {key}")
+
+    model = ModelFile()
+    if "algebroid" in sections:
+        model.algebroid = _build_algebroid(sections["algebroid"], source)
+    if "poisson" in sections:
+        model.poisson = _build_poisson(sections["poisson"], source)
+    if elements:
+        space = _element_space(model)
+        if space is None:
+            raise ModelError(f"{source}: element blocks need an [algebroid] or [poisson] section")
+        for block in elements.values():
+            model.elements[block.name] = _build_element(block, space, source)
     return model
 
 
-def _validate_model(model, source):
-    if model.algebroid is not None:
-        sec = model.algebroid
-        try:
-            validate_chart(sec.base)
-        except ValueError as exc:
-            raise ModelError(f"{source}: [algebroid] base: {exc}") from None
-        if sec.rank < 0:
-            raise ModelError(f"{source}: [algebroid] rank must be nonnegative")
-        n = len(sec.base)
-        for (a, i), text in sec.anchor.items():
-            if not (1 <= a <= sec.rank and 1 <= i <= n):
-                raise ModelError(f"{source}: anchor[{a}][{i}]: index out of range")
-            _parse_entry(text, sec.base, f"{source}: anchor[{a}][{i}]")
-        for (c, a, b), text in sec.structure.items():
-            if not (1 <= a < b <= sec.rank):
-                raise ModelError(f"{source}: C[{c}][{a}][{b}]: non-increasing or out-of-range section pair")
-            if not (1 <= c <= sec.rank):
-                raise ModelError(f"{source}: C[{c}][{a}][{b}]: component index out of range")
-            _parse_entry(text, sec.base, f"{source}: C[{c}][{a}][{b}]")
-    if model.poisson is not None:
-        sec = model.poisson
-        try:
-            validate_chart(sec.base)
-        except ValueError as exc:
-            raise ModelError(f"{source}: [poisson] base: {exc}") from None
-        n = len(sec.base)
-        for (i, j), text in sec.entries.items():
-            if not (1 <= i < j <= n):
-                raise ModelError(f"{source}: L[{i}][{j}]: non-increasing or out-of-range index pair")
-            _parse_entry(text, sec.base, f"{source}: L[{i}][{j}]")
-    if model.elements:
-        if model.algebroid is not None:
-            chart, rank = model.algebroid.base, model.algebroid.rank
-        elif model.poisson is not None:
-            chart, rank = model.poisson.base, len(model.poisson.base)
+def _check_base(section, source):
+    try:
+        return validate_chart(section.base)
+    except ValueError as exc:
+        raise ModelError(f"{source}: [{section.header}] base: {exc}") from None
+
+
+def _build_algebroid(section, source):
+    base = _check_base(section, source)
+    rank = section.rank
+    if rank < 0:
+        raise ModelError(f"{source}: [algebroid] rank must be nonnegative")
+    anchor = [[ZERO] * len(base) for _ in range(rank)]
+    structure = {}
+    for (kind, *indices), text in section.entries.items():
+        if kind == "anchor":
+            a, i = indices
+            where = f"{source}: anchor[{a}][{i}]"
+            if not (1 <= a <= rank and 1 <= i <= len(base)):
+                raise ModelError(f"{where}: index out of range")
+            anchor[a - 1][i - 1] = _parse_entry(text, base, where)
         else:
-            raise ModelError(f"{source}: element blocks need an [algebroid] or [poisson] section")
-        for block in model.elements.values():
-            for index, text in block.entries.items():
-                label = ",".join(str(t) for t in index) if index else "scalar"
-                where = f"{source}: [{block.kind} {block.name}] {label}"
-                if any(index[t] >= index[t + 1] for t in range(len(index) - 1)):
-                    raise ModelError(f"{where}: indices must be strictly increasing")
-                if index and not (1 <= index[0] and index[-1] <= rank):
-                    raise ModelError(f"{where}: index out of range 1..{rank}")
-                _parse_entry(text, chart, where)
+            c, a, b = indices
+            where = f"{source}: C[{c}][{a}][{b}]"
+            if not (1 <= a < b <= rank):
+                raise ModelError(f"{where}: non-increasing or out-of-range section pair")
+            if not (1 <= c <= rank):
+                raise ModelError(f"{where}: component index out of range")
+            structure.setdefault((a, b), {})[c] = _parse_entry(text, base, where)
+    return _alg.new_algebroid(base, rank, anchor, structure)
+
+
+def _build_poisson(section, source):
+    base = _check_base(section, source)
+    table = {}
+    for (_, i, j), text in section.entries.items():
+        where = f"{source}: L[{i}][{j}]"
+        if not (1 <= i < j <= len(base)):
+            raise ModelError(f"{where}: non-increasing or out-of-range index pair")
+        table[(i, j)] = _parse_entry(text, base, where)
+    return _poi.new_poisson(base, table, verify=False)
+
+
+def _element_space(model):
+    """The algebroid that model elements are read over: the [algebroid]
+    section if there is one, else the tangent algebroid of [poisson]."""
+    if model.algebroid is not None:
+        return model.algebroid
+    if model.poisson is not None:
+        return model.poisson.tangent()
+    return None
+
+
+def _build_element(block, space, source):
+    entries = {}
+    for index, text in block.entries.items():
+        where = f"{source}: [{block.kind} {block.name}] {_index_key(index) or 'scalar'}"
+        if any(index[t] >= index[t + 1] for t in range(len(index) - 1)):
+            raise ModelError(f"{where}: indices must be strictly increasing")
+        if index and not (1 <= index[0] and index[-1] <= space.rank):
+            raise ModelError(f"{where}: index out of range 1..{space.rank}")
+        entries[index] = _parse_entry(text, space.chart, where)
+    return ElementBlock(block.kind, block.name, entries)
 
 
 def _parse_entry(text, chart, where):
@@ -264,31 +259,18 @@ def load_model(path):
 
 def save_model(model, path=None):
     """Canonical text for a ModelFile; parse_model(save_model(m)) == m."""
-    lines = []
+    blocks = []
     if model.algebroid is not None:
-        sec = model.algebroid
-        lines.append("[algebroid]")
-        lines.append(f"base = {_format_base(sec.base)}")
-        lines.append(f"rank = {sec.rank}")
-        for (a, i) in sorted(sec.anchor):
-            lines.append(f'anchor[{a}][{i}] = "{sec.anchor[(a, i)]}"')
-        for (c, a, b) in sorted(sec.structure, key=lambda t: (t[1], t[2], t[0])):
-            lines.append(f'C[{c}][{a}][{b}] = "{sec.structure[(c, a, b)]}"')
-        lines.append("")
+        blocks.append(_algebroid_block(model.algebroid))
     for block in model.elements.values():
-        lines.append(f"[{block.kind} {block.name}]")
+        chart = _element_space(model).chart
+        lines = [f"[{block.kind} {block.name}]"]
         for index in sorted(block.entries):
-            key = ",".join(str(t) for t in index) if index else "scalar"
-            lines.append(f'{key} = "{block.entries[index]}"')
-        lines.append("")
+            lines.append(f'{_index_key(index) or "scalar"} = "{block.entries[index].to_text(chart)}"')
+        blocks.append(lines)
     if model.poisson is not None:
-        sec = model.poisson
-        lines.append("[poisson]")
-        lines.append(f"base = {_format_base(sec.base)}")
-        for (i, j) in sorted(sec.entries):
-            lines.append(f'L[{i}][{j}] = "{sec.entries[(i, j)]}"')
-        lines.append("")
-    text = "\n".join(lines)
+        blocks.append(_poisson_block(model.poisson))
+    text = "\n".join(line for lines in blocks for line in (*lines, ""))
     if path is not None:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -328,34 +310,33 @@ def _element_json(element, chart):
     }
 
 
-def _algebroid_block(algebroid):
-    lines = ["[algebroid]"]
-    lines.append(f"base = {_format_base(algebroid.chart)}")
-    lines.append(f"rank = {algebroid.rank}")
+def _algebroid_entries(algebroid):
+    """(key, indices, text) for each nonzero anchor entry, then each structure
+    function, in model-file order."""
+    chart = algebroid.chart
     for a in range(1, algebroid.rank + 1):
-        for i in range(1, len(algebroid.chart) + 1):
+        for i in range(1, len(chart) + 1):
             entry = algebroid.anchor_entry(a, i)
             if entry:
-                lines.append(f'anchor[{a}][{i}] = "{entry.to_text(algebroid.chart)}"')
+                yield "anchor", (a, i), entry.to_text(chart)
     for (a, b) in sorted(algebroid.structure):
         table = algebroid.structure[(a, b)]
         for c in sorted(table):
-            lines.append(f'C[{c}][{a}][{b}] = "{table[c].to_text(algebroid.chart)}"')
+            yield "C", (c, a, b), table[c].to_text(chart)
+
+
+def _algebroid_block(algebroid):
+    lines = ["[algebroid]", f"base = {_format_base(algebroid.chart)}", f"rank = {algebroid.rank}"]
+    for key, indices, text in _algebroid_entries(algebroid):
+        lines.append(f'{key}{"".join(f"[{t}]" for t in indices)} = "{text}"')
     return lines
 
 
 def _algebroid_json(algebroid):
-    anchor = {}
-    for a in range(1, algebroid.rank + 1):
-        for i in range(1, len(algebroid.chart) + 1):
-            entry = algebroid.anchor_entry(a, i)
-            if entry:
-                anchor[f"{a},{i}"] = entry.to_text(algebroid.chart)
-    structure = {}
-    for (a, b), table in algebroid.structure.items():
-        for c, value in table.items():
-            structure[f"{c},{a},{b}"] = value.to_text(algebroid.chart)
-    return {"base": list(algebroid.chart), "rank": algebroid.rank, "anchor": anchor, "C": structure}
+    tables = {"anchor": {}, "C": {}}
+    for key, indices, text in _algebroid_entries(algebroid):
+        tables[key][_index_key(indices)] = text
+    return {"base": list(algebroid.chart), "rank": algebroid.rank, **tables}
 
 
 def _poisson_block(ps):
@@ -411,221 +392,178 @@ def _axiom_report_json(report, algebroid):
     return {"passed": report.passed, "anchor": anchor, "jacobi": jacobi}
 
 
-def _require_algebroid(model):
-    if model.algebroid is None:
-        raise CommandError("this command needs an [algebroid] section in the model")
-    return model.algebroid.build()
-
-
-def _require_poisson(model, verify):
-    if model.poisson is None:
-        raise CommandError("this command needs a [poisson] section in the model")
-    return model.poisson.build(verify=verify)
-
-
-def _get_element(model, name, context):
+def _get_element(model, name, space):
     block = model.elements.get(name)
     if block is None:
         raise CommandError(f"model has no element named {name!r}")
-    variance = _cal.MULTIVECTOR if block.kind == "multivector" else _cal.FORM
     components = {}
-    for index, text in block.entries.items():
-        try:
-            expr = parse(text, context.chart)
-        except ParseError as exc:
-            raise CommandError(f"element {name!r}, entry {_index_key(index) or 'scalar'}: {exc}") from None
-        components.setdefault(len(index), {})[index] = expr
+    for index, value in block.entries.items():
+        components.setdefault(len(index), {})[index] = value
     try:
-        return _cal.GradedElement(context, variance, components)
+        return _cal.GradedElement(space, block.kind, components)
     except ValueError as exc:
         raise CommandError(f"element {name!r} does not fit this context: {exc}") from None
 
 
+# Command handlers: (algebroid or Poisson structure, operand elements, force)
+# -> (exit code, text lines, JSON data or None for text-only output).
+
+
+def _check(algebroid, elements, force):
+    report = _alg.verify_axioms(algebroid)
+    code = 0 if report.passed else 1
+    return code, _axiom_report_lines(report, algebroid), _axiom_report_json(report, algebroid)
+
+
+def _poisson_check(ps, elements, force):
+    report = _poi.is_poisson(ps)
+    lines = [f"poisson: {'PASS' if report.passed else 'FAIL'}"]
+    if not report.passed:
+        lines += _element_lines(report.residual, ps.chart)[1:]
+    residual = _element_json(report.residual, ps.chart)["components"].get("3", {})
+    return (0 if report.passed else 1), lines, {"passed": report.passed, "residual": residual}
+
+
+def _element_op(operation):
+    """Handler for a command whose result is one element over the context."""
+
+    def run(context, elements, force):
+        result = operation(context, *elements)
+        return 0, _element_lines(result, context.chart), _element_json(result, context.chart)
+
+    return run
+
+
+def _lie(algebroid, V, X):
+    if X.variance == _cal.FORM:
+        return _cal.lie_derivative_form(algebroid, V, X)
+    return _cal.lie_derivative_multivector(algebroid, V, X)
+
+
+def _pair(algebroid, elements, force):
+    text = _cal.pairing(*elements).to_text(algebroid.chart)
+    return 0, [text], {"value": text}
+
+
+def _reconstruct(algebroid, elements, force):
+    delta = _cal.OperatorValue(lambda eta: _cal.exterior_derivative(algebroid, eta), 1)
+    try:
+        rebuilt = _cal.delta_reconstruct(algebroid.chart, algebroid.rank, delta)
+    except _cal.ReconstructionError as exc:
+        return 1, ["reconstruct: FAIL", str(exc)], None
+    return 0, _algebroid_block(rebuilt), _algebroid_json(rebuilt)
+
+
+def _dual_command(algebroid, elements, force):
+    ps = _dual.dual_poisson(algebroid, force=force)
+    return 0, _poisson_block(ps), _poisson_json(ps)
+
+
+def _dual_verify(algebroid, elements, force):
+    ps = _dual.dual_poisson(algebroid, force=force)
+    jacobi = ps.verified
+    hom = _dual.homogeneity_check(ps)
+    residuals = _dual.transpose_anchor_check(algebroid, ps)
+    hom_ok = hom.is_zero()
+    map_ok = not any(residuals)
+    lines = [f"jacobi: {'PASS' if jacobi else 'FAIL'}"]
+    if not jacobi:
+        lines += _element_lines(_poi.is_poisson(ps).residual, ps.chart)[1:]
+    lines.append(f"homogeneity: {'PASS' if hom_ok else 'FAIL'}")
+    if not hom_ok:
+        lines += _element_lines(hom, ps.chart)[1:]
+    lines.append(f"poisson-map: {'PASS' if map_ok else 'FAIL'}")
+    pairs = zip(combinations(ps.chart, 2), residuals)
+    lines += [f"({u},{v}) = {residual.to_text(ps.chart)}" for (u, v), residual in pairs if residual]
+    code = 0 if jacobi and hom_ok and map_ok else 1
+    return code, lines, {"jacobi": jacobi, "homogeneity": hom_ok, "poisson_map": map_ok}
+
+
+def _cotangent(ps, elements, force):
+    built = _poi.cotangent_algebroid(ps, force=True)
+    return 0, _algebroid_block(built), _algebroid_json(built)
+
+
+class Command(NamedTuple):
+    section: str  # the model section the command runs over
+    gate: str | None  # a check that must pass first unless --force
+    operands: int  # number of element names
+    run: Callable
+    help: str
+
+
+# The gated Poisson commands pass force=True to the library: execute's gate
+# has already refused unverified structures unless --force was given.
+COMMANDS = {
+    "check": Command("algebroid", None, 0, _check, "verify the algebroid axioms"),
+    "bracket": Command(
+        "algebroid", None, 2, _element_op(_alg.bracket_sections), "bracket of two degree-1 multivector elements"
+    ),
+    "d": Command(
+        "algebroid", None, 1, _element_op(_cal.exterior_derivative), "exterior derivative of a form element"
+    ),
+    "lie": Command(
+        "algebroid", None, 2, _element_op(_lie), "Lie derivative of the second element along the first (a section)"
+    ),
+    "interior": Command(
+        "algebroid", None, 2, _element_op(lambda algebroid, P, eta: _cal.interior_product(P, eta)),
+        "interior product of a form by a multivector",
+    ),
+    "pair": Command("algebroid", None, 2, _pair, "pairing of a form with a multivector"),
+    "wedge": Command(
+        "algebroid", None, 2, _element_op(lambda algebroid, P, Q: _cal.wedge(P, Q)),
+        "exterior product of two elements of the same kind",
+    ),
+    "schouten": Command(
+        "algebroid", None, 2, _element_op(_cal.schouten_bracket), "Schouten bracket of two multivector elements"
+    ),
+    "poisson-check": Command("poisson", None, 0, _poisson_check, "Jacobi check of the [poisson] bivector"),
+    "sharp": Command("poisson", None, 1, _element_op(_poi.sharp), "musical map applied to a form element"),
+    "cotangent": Command(
+        "poisson", "poisson-check", 0, _cotangent, "print the cotangent algebroid of the [poisson] structure"
+    ),
+    "koszul": Command(
+        "poisson", "poisson-check", 2,
+        _element_op(lambda ps, eta, zeta: _poi.koszul_bracket(ps, eta, zeta, force=True)),
+        "Koszul bracket of two form elements",
+    ),
+    "lichnerowicz": Command(
+        "poisson", "poisson-check", 1,
+        _element_op(lambda ps, P: _poi.lichnerowicz_differential(ps, P, force=True)),
+        "bracket the bivector with a multivector element",
+    ),
+    "dual": Command(
+        "algebroid", "check", 0, _dual_command, "print the dual-bundle Poisson structure of the algebroid"
+    ),
+    "dual-verify": Command("algebroid", "check", 0, _dual_verify, "check the three dual-bundle properties"),
+    "reconstruct": Command("algebroid", None, 0, _reconstruct, "rebuild the algebroid from its exterior derivative"),
+}
+
+
 def execute(command, model, operands=(), json_output=False, force=False):
-    """Run one command against a loaded model. Returns (exit code, text)."""
-    out_json = None
-    lines = []
-    code = 0
+    """Run one command against a loaded model. Returns (exit code, text).
 
-    if command == "check":
-        algebroid = _require_algebroid(model)
-        report = _alg.verify_axioms(algebroid)
-        lines = _axiom_report_lines(report, algebroid)
-        out_json = _axiom_report_json(report, algebroid)
-        code = 0 if report.passed else 1
-
-    elif command in ("bracket", "wedge", "schouten", "interior", "pair", "lie"):
-        algebroid = _require_algebroid(model)
-        x = _get_element(model, operands[0], algebroid)
-        y = _get_element(model, operands[1], algebroid)
-        try:
-            if command == "bracket":
-                result = _alg.bracket_sections(algebroid, x, y)
-            elif command == "wedge":
-                result = _cal.wedge(x, y)
-            elif command == "schouten":
-                result = _cal.schouten_bracket(algebroid, x, y)
-            elif command == "interior":
-                result = _cal.interior_product(x, y)
-            elif command == "lie":
-                if y.variance == _cal.FORM:
-                    result = _cal.lie_derivative_form(algebroid, x, y)
-                else:
-                    result = _cal.lie_derivative_multivector(algebroid, x, y)
-            else:
-                value = _cal.pairing(x, y)
-                lines = [value.to_text(algebroid.chart)]
-                out_json = {"value": value.to_text(algebroid.chart)}
-        except ValueError as exc:
-            raise CommandError(str(exc)) from None
-        if command != "pair":
-            lines = _element_lines(result, algebroid.chart)
-            out_json = _element_json(result, algebroid.chart)
-
-    elif command == "d":
-        algebroid = _require_algebroid(model)
-        eta = _get_element(model, operands[0], algebroid)
-        try:
-            result = _cal.exterior_derivative(algebroid, eta)
-        except ValueError as exc:
-            raise CommandError(str(exc)) from None
-        lines = _element_lines(result, algebroid.chart)
-        out_json = _element_json(result, algebroid.chart)
-
-    elif command == "reconstruct":
-        algebroid = _require_algebroid(model)
-        delta = _cal.OperatorValue(lambda eta: _cal.exterior_derivative(algebroid, eta), 1)
-        try:
-            rebuilt = _cal.delta_reconstruct(algebroid.chart, algebroid.rank, delta)
-        except _cal.ReconstructionError as exc:
-            return 1, f"reconstruct: FAIL\n{exc}\n"
-        lines = _algebroid_block(rebuilt)
-        out_json = _algebroid_json(rebuilt)
-
-    elif command in ("dual", "dual-verify"):
-        algebroid = _require_algebroid(model)
-        report = _alg.verify_axioms(algebroid)
-        if not report.passed and not force:
-            lines = _axiom_report_lines(report, algebroid)
-            return 1, "\n".join(lines) + "\n"
-        ps = _dual.dual_poisson(algebroid, force=force)
-        if command == "dual":
-            lines = _poisson_block(ps)
-            out_json = _poisson_json(ps)
-        else:
-            jacobi = ps.verified
-            hom = _dual.homogeneity_check(ps)
-            residuals = _dual.transpose_anchor_check(algebroid, ps)
-            hom_ok = hom.is_zero()
-            map_ok = all(not r for r in residuals)
-            lines = [f"jacobi: {'PASS' if jacobi else 'FAIL'}"]
-            if not jacobi:
-                ja = _poi.is_poisson(ps)
-                lines.extend(
-                    f"[{_index_key(index)}] = {value.to_text(ps.chart)}"
-                    for index in sorted(ja.residual.components.get(3, {}))
-                    for value in [ja.residual.components[3][index]]
-                )
-            lines.append(f"homogeneity: {'PASS' if hom_ok else 'FAIL'}")
-            if not hom_ok:
-                lines.extend(_element_lines(hom, ps.chart)[1:])
-            lines.append(f"poisson-map: {'PASS' if map_ok else 'FAIL'}")
-            if not map_ok:
-                names = list(ps.chart)
-                idx = 0
-                for u in range(len(names)):
-                    for v in range(u + 1, len(names)):
-                        if residuals[idx]:
-                            lines.append(
-                                f"({names[u]},{names[v]}) = {residuals[idx].to_text(ps.chart)}"
-                            )
-                        idx += 1
-            ok = jacobi and hom_ok and map_ok
-            out_json = {"jacobi": jacobi, "homogeneity": hom_ok, "poisson_map": map_ok}
-            code = 0 if ok else 1
-
-    elif command == "poisson-check":
-        ps = _require_poisson(model, verify=False)
-        report = _poi.is_poisson(ps)
-        lines = [f"poisson: {'PASS' if report.passed else 'FAIL'}"]
-        residual_table = report.residual.components.get(3, {})
-        for index in sorted(residual_table):
-            lines.append(f"[{_index_key(index)}] = {residual_table[index].to_text(ps.chart)}")
-        out_json = {
-            "passed": report.passed,
-            "residual": {
-                _index_key(index): value.to_text(ps.chart) for index, value in residual_table.items()
-            },
-        }
-        code = 0 if report.passed else 1
-
-    elif command in ("sharp", "cotangent", "koszul", "lichnerowicz"):
-        gated = command != "sharp"
-        ps = _require_poisson(model, verify=gated)
-        if gated and not ps.verified and not force:
-            report = _poi.is_poisson(ps)
-            lines = ["poisson: FAIL"]
-            residual_table = report.residual.components.get(3, {})
-            for index in sorted(residual_table):
-                lines.append(f"[{_index_key(index)}] = {residual_table[index].to_text(ps.chart)}")
-            return 1, "\n".join(lines) + "\n"
-        tangent = ps.bivector.algebroid
-        try:
-            if command == "sharp":
-                eta = _get_element(model, operands[0], tangent)
-                result = _poi.sharp(ps, eta)
-                lines = _element_lines(result, ps.chart)
-                out_json = _element_json(result, ps.chart)
-            elif command == "cotangent":
-                built = _poi.cotangent_algebroid(ps, force=True)
-                lines = _algebroid_block(built)
-                out_json = _algebroid_json(built)
-            elif command == "koszul":
-                eta = _get_element(model, operands[0], tangent)
-                zeta = _get_element(model, operands[1], tangent)
-                result = _poi.koszul_bracket(ps, eta, zeta, force=True)
-                lines = _element_lines(result, ps.chart)
-                out_json = _element_json(result, ps.chart)
-            else:
-                P = _get_element(model, operands[0], tangent)
-                result = _poi.lichnerowicz_differential(ps, P, force=True)
-                lines = _element_lines(result, ps.chart)
-                out_json = _element_json(result, ps.chart)
-        except ValueError as exc:
-            raise CommandError(str(exc)) from None
-
-    else:
+    A gated command whose gate check fails prints that check's report and
+    exits 1 instead, unless forced."""
+    spec = COMMANDS.get(command)
+    if spec is None:
         raise CommandError(f"unknown command {command!r}")
-
-    if json_output and out_json is not None:
-        return code, json.dumps(out_json, sort_keys=True, indent=2) + "\n"
+    context = getattr(model, spec.section)
+    if context is None:
+        raise CommandError(f"the model has no [{spec.section}] section, which this command needs")
+    space = context if spec.section == "algebroid" else context.tangent()
+    try:
+        code = 0
+        if spec.gate is not None and not force:
+            code, lines, data = COMMANDS[spec.gate].run(context, (), force)
+        if code == 0:
+            elements = tuple(_get_element(model, name, space) for name in operands)
+            code, lines, data = spec.run(context, elements, force)
+    except ValueError as exc:
+        raise CommandError(str(exc)) from None
+    if json_output and data is not None:
+        return code, json.dumps(data, sort_keys=True, indent=2) + "\n"
     return code, "\n".join(lines) + "\n"
-
-
-_OPERAND_COUNTS = {
-    "check": 0, "bracket": 2, "d": 1, "lie": 2, "interior": 2, "pair": 2,
-    "wedge": 2, "schouten": 2, "poisson-check": 0, "sharp": 1, "cotangent": 0,
-    "koszul": 2, "lichnerowicz": 1, "dual": 0, "dual-verify": 0, "reconstruct": 0,
-}
-
-_OPERAND_HELP = {
-    "check": "verify the algebroid axioms",
-    "bracket": "bracket of two degree-1 multivector elements",
-    "d": "exterior derivative of a form element",
-    "lie": "Lie derivative of the second element along the first (a section)",
-    "interior": "interior product of a form by a multivector",
-    "pair": "pairing of a form with a multivector",
-    "wedge": "exterior product of two elements of the same kind",
-    "schouten": "Schouten bracket of two multivector elements",
-    "poisson-check": "Jacobi check of the [poisson] bivector",
-    "sharp": "musical map applied to a form element",
-    "cotangent": "print the cotangent algebroid of the [poisson] structure",
-    "koszul": "Koszul bracket of two form elements",
-    "lichnerowicz": "bracket the bivector with a multivector element",
-    "dual": "print the dual-bundle Poisson structure of the algebroid",
-    "dual-verify": "check the three dual-bundle properties",
-    "reconstruct": "rebuild the algebroid from its exterior derivative",
-}
 
 
 def build_parser():
@@ -638,10 +576,10 @@ def build_parser():
     common.add_argument("--json", action="store_true", dest="json_output", help="emit JSON instead of text")
     common.add_argument("--force", action="store_true", help="skip verified-precondition gates")
     subparsers = parser.add_subparsers(dest="command", required=True)
-    for command, count in _OPERAND_COUNTS.items():
-        sub = subparsers.add_parser(command, parents=[common], help=_OPERAND_HELP[command])
-        for position in range(count):
-            sub.add_argument(f"name{position + 1}", help="element name in the model file")
+    for command, spec in COMMANDS.items():
+        sub = subparsers.add_parser(command, parents=[common], help=spec.help)
+        if spec.operands:
+            sub.add_argument("names", nargs=spec.operands, metavar="name", help="element name in the model file")
     return parser
 
 
@@ -651,13 +589,10 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
-    operands = tuple(
-        getattr(args, f"name{position + 1}") for position in range(_OPERAND_COUNTS[args.command])
-    )
     try:
         model = load_model(args.model)
         code, text = execute(
-            args.command, model, operands, json_output=args.json_output, force=args.force
+            args.command, model, tuple(getattr(args, "names", ())), json_output=args.json_output, force=args.force
         )
     except (ModelError, CommandError) as exc:
         print(f"algebroids: {exc}", file=sys.stderr)

@@ -19,10 +19,7 @@ from dataclasses import dataclass
 from . import algebroid as _alg
 from . import calculus as _cal
 from . import poisson as _poi
-from .expr import Expr, validate_name
-
-ZERO = Expr.const(0)
-ONE = Expr.const(1)
+from .expr import ZERO, Expr, validate_name
 
 
 @dataclass(frozen=True)

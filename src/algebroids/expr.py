@@ -23,8 +23,6 @@ NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 # a runaway computation, not a legitimate input.
 MAX_EXPONENT = 2**31 - 1
 
-Monomial = tuple  # tuple[tuple[str, int], ...], name-sorted
-
 
 class ParseError(ValueError):
     """Syntax or lookup error while parsing an expression string."""
@@ -260,11 +258,6 @@ class Expr:
                 names.add(name)
         return frozenset(names)
 
-    def total_degree(self):
-        if not self._terms:
-            return 0
-        return max(sum(e for _, e in mono) for mono in self._terms)
-
     def to_text(self, chart=None):
         """Print in the input grammar; deterministic graded-lex term order."""
         if not self._terms:
@@ -313,6 +306,20 @@ class Expr:
 
 ZERO = Expr.const(0)
 ONE = Expr.const(1)
+
+
+def as_expr(value, chart, what):
+    """Coerce an Expr or rational to an Expr whose coordinates lie in `chart`;
+    `what` names the value in error messages."""
+    if not isinstance(value, Expr):
+        try:
+            value = Expr.const(value)
+        except TypeError:
+            raise TypeError(f"{what}: expected an Expr or rational, got {value!r}") from None
+    foreign = value.variables() - set(chart)
+    if foreign:
+        raise ValueError(f"{what}: foreign coordinate '{sorted(foreign)[0]}'")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -444,23 +451,3 @@ class _Parser:
 def parse(text, chart):
     """Parse an expression string over the given chart into canonical form."""
     return _Parser(text, validate_chart(chart)).parse()
-
-
-# Named wrappers around the Expr methods, for callers that prefer functions.
-
-def differentiate(f, v, chart=None):
-    if chart is not None and v not in chart:
-        raise ValueError(f"unknown coordinate '{v}'")
-    return f.diff(v)
-
-
-def is_zero(f):
-    return f.is_zero()
-
-
-def eval_at(f, point):
-    return f.eval_at(point)
-
-
-def format_expr(f, chart=None):
-    return f.to_text(chart)

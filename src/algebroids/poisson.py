@@ -18,10 +18,7 @@ from dataclasses import dataclass
 
 from . import algebroid as _alg
 from . import calculus as _cal
-from .expr import Expr, validate_chart
-
-ZERO = Expr.const(0)
-ONE = Expr.const(1)
+from .expr import ZERO, as_expr, validate_chart
 
 
 class PoissonStructure:
@@ -47,6 +44,11 @@ class PoissonStructure:
 
     def verify(self):
         return is_poisson(self)
+
+    def __eq__(self, other):
+        if not isinstance(other, PoissonStructure):
+            return NotImplemented
+        return self.chart == other.chart and self.bivector == other.bivector
 
     def __repr__(self):
         return f"PoissonStructure(chart={self.chart!r}, verified={self.verified})"
@@ -111,19 +113,10 @@ def is_poisson(value):
     return report
 
 
-def _as_scalar(value, chart, what):
-    if not isinstance(value, Expr):
-        value = Expr.const(value)
-    foreign = value.variables() - set(chart)
-    if foreign:
-        raise ValueError(f"{what}: foreign coordinate '{sorted(foreign)[0]}'")
-    return value
-
-
 def poisson_bracket(ps, f, g):
     """{f, g} = sum over i<j of Lambda^{ij} (d_i f d_j g - d_j f d_i g)."""
-    f = _as_scalar(f, ps.chart, "poisson_bracket: first argument")
-    g = _as_scalar(g, ps.chart, "poisson_bracket: second argument")
+    f = as_expr(f, ps.chart, "poisson_bracket: first argument")
+    g = as_expr(g, ps.chart, "poisson_bracket: second argument")
     total = ZERO
     for (i, j), lam in ps.bivector.components.get(2, {}).items():
         ni, nj = ps.chart[i - 1], ps.chart[j - 1]
@@ -145,29 +138,13 @@ def sharp(ps, eta):
     _cal._require_variance(eta, _cal.FORM, "sharp")
     if not ps.bivector.algebroid.same_shape(eta.algebroid):
         raise ValueError("sharp: the form does not live over this chart's tangent algebroid")
-    tangent = ps.bivector.algebroid
+    return _cal._wedge_push(eta, ps.bivector.algebroid, _matrix(ps))
+
+
+def _matrix(ps):
+    """The full antisymmetric bivector matrix, rows indexed by i."""
     n = len(ps.chart)
-
-    images = []
-    for i in range(1, n + 1):
-        comps = {}
-        for j in range(1, n + 1):
-            value = ps.entry(i, j)
-            if value:
-                comps[(j,)] = value
-        images.append(_cal.GradedElement(tangent, _cal.MULTIVECTOR, {1: comps}))
-
-    total = _cal.GradedElement(tangent, _cal.MULTIVECTOR, {})
-    for degree, table in eta.components.items():
-        if degree == 0:
-            total = total + _cal.GradedElement(tangent, _cal.MULTIVECTOR, {0: dict(table)})
-            continue
-        for index, coeff in table.items():
-            term = images[index[0] - 1]
-            for i in index[1:]:
-                term = _cal.wedge(term, images[i - 1])
-            total = total + term.scale(coeff)
-    return total
+    return [[ps.entry(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
 
 
 def cotangent_algebroid(ps, force=False):
@@ -175,8 +152,6 @@ def cotangent_algebroid(ps, force=False):
     coordinate differential dx^i, the anchor row is Lambda^{i.}, and the
     structure functions are the coordinate partials of the bivector."""
     _require_gate(ps, force, "cotangent_algebroid")
-    n = len(ps.chart)
-    anchor = [[ps.entry(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
     structure = {}
     for (i, j), lam in ps.bivector.components.get(2, {}).items():
         entries = {}
@@ -186,7 +161,7 @@ def cotangent_algebroid(ps, force=False):
                 entries[k] = d
         if entries:
             structure[(i, j)] = entries
-    return _alg.new_algebroid(ps.chart, n, anchor, structure)
+    return _alg.new_algebroid(ps.chart, len(ps.chart), _matrix(ps), structure)
 
 
 def koszul_bracket(ps, eta, zeta, force=False):

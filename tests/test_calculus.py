@@ -13,7 +13,6 @@ from algebroids import (
     ReconstructionError,
     bracket_sections,
     construct_tangent,
-    degree_scale,
     delta_reconstruct,
     exterior_derivative,
     interior_product,
@@ -702,29 +701,6 @@ def test_schouten_pushes_through_anchor():
             lhs = anchor_push(A, schouten_bracket(A, P, Q))
             rhs = schouten_bracket(T, anchor_push(A, P), anchor_push(A, Q))
             assert lhs == rhs
-
-
-# -------------------------------------------------------------- degree scale
-
-
-def test_degree_scale_values():
-    A = construct_tangent(3)
-    P = mv(A, {0: {(): X1}, 1: {(2,): ONE}, 3: {(1, 2, 3): X2}})
-    out = degree_scale(P)
-    assert out.scalar_part() == ZERO
-    assert out.coefficient((2,)) == ONE
-    assert out.coefficient((1, 2, 3)) == X2 * Expr.const(3)
-
-
-def test_degree_scale_is_wedge_derivation():
-    rng = random.Random(46)
-    A = construct_tangent(3)
-    for _ in range(6):
-        P = random_mixed(rng, A, MULTIVECTOR, max_degree=2)
-        Q = random_mixed(rng, A, MULTIVECTOR, max_degree=2)
-        lhs = degree_scale(wedge(P, Q))
-        rhs = wedge(degree_scale(P), Q) + wedge(P, degree_scale(Q))
-        assert lhs == rhs
 
 
 # ----------------------------------------------------------- reconstruction

@@ -7,14 +7,18 @@ residual tables all appear in test_calculus / test_poisson /
 test_dualpoisson with hand-derived expectations).
 """
 
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from algebroids.cli import ModelError, load_model, main, parse_model, save_model
+from algebroids.cli import COMMANDS, ModelError, load_model, main, parse_model, save_model
 
 HERE = Path(__file__).parent
 FIXTURES = HERE / "fixtures"
@@ -69,6 +73,21 @@ def test_dual_gate_prints_the_axiom_report(capsys):
     assert out.encode("utf-8") == (GOLDEN / "check_broken.txt").read_bytes()
 
 
+@pytest.mark.parametrize("command", ["dual", "dual-verify"])
+def test_algebroid_gate_refusal_honours_json(command, capsys):
+    assert main([command, "--model", fixture("broken_jacobi.alg"), "--json"]) == 1
+    assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / "check_broken.json").read_bytes()
+
+
+def test_poisson_gate_refusal_honours_json(capsys):
+    model = fixture("poisson_r3_broken.alg")
+    assert main(["poisson-check", "--model", model, "--json"]) == 1
+    report = capsys.readouterr().out
+    assert main(["cotangent", "--model", model, "--json"]) == 1
+    assert capsys.readouterr().out == report
+    assert json.loads(report) == {"passed": False, "residual": {"1,2,3": "2"}}
+
+
 def test_json_output_is_deterministic(capsys):
     argv = ["check", "--model", fixture("broken_jacobi.alg"), "--json"]
     main(argv)
@@ -114,6 +133,11 @@ def test_module_entry_point_propagates_exit_codes():
 def test_save_model_round_trips(name):
     model = load_model(FIXTURES / name)
     assert parse_model(save_model(model)) == model
+
+
+def test_loading_runs_no_checks():
+    assert load_model(FIXTURES / "so3.alg").algebroid.verified is False
+    assert load_model(FIXTURES / "poisson_so3.alg").poisson.verified is False
 
 
 def test_save_model_writes_a_file(tmp_path):
@@ -184,6 +208,20 @@ def test_missing_model_file_exits_2(capsys):
     assert "cannot read model file" in capsys.readouterr().err
 
 
+def clash_model(name):
+    """A verified algebroid whose base coordinate is named like a fiber
+    coordinate: xi1 of its dual bundle, or zeta1 of the base's cotangent
+    bundle that dual-verify builds."""
+    return f'[algebroid]\nbase = [ "{name}" ]\nrank = 1\nanchor[1][1] = "1"\n'
+
+
+@pytest.mark.parametrize("name,command", [("xi1", "dual"), ("zeta1", "dual-verify")])
+def test_fiber_name_clash_exits_2(tmp_path, capsys, name, command):
+    assert main([command, "--model", write_model(tmp_path, clash_model(name))]) == 2
+    err = capsys.readouterr().err
+    assert err == f"algebroids: dual_poisson: fiber name '{name}' collides with a base coordinate\n"
+
+
 def test_missing_element_exits_2(capsys):
     assert main(["schouten", "--model", fixture("tangent_r3.alg"), "P", "nope"]) == 2
     assert "no element named 'nope'" in capsys.readouterr().err
@@ -218,3 +256,91 @@ def test_missing_model_argument_exits_2(capsys):
 def test_missing_operand_exits_2(capsys):
     assert main(["schouten", "--model", fixture("tangent_r3.alg"), "P"]) == 2
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract on generated models
+
+_BASES = ['[ "x1" ]', '[ "x1", "x2" ]', '[ "x1", "x2", "x3" ]', '[ "xi1", "x1" ]', '[ "x1", "zeta1" ]']
+_EXPRESSIONS = st.sampled_from(['"1"', '"0"', '"x1"', '"x1^3 - 1/2*x1"', '"-2*x1 + 1"'])
+# One of these, at a random line, makes a model malformed. Indices 0 and 4
+# fall outside every rank in the pool.
+_DEFECTS = [
+    "rank = -1", "base = [ x1 ]", 'base = [ "x1", "x1" ]', "[spinor s]", "[algebroid", "anchor[1][1]",
+    'anchor[4][1] = "1"', 'anchor[1][0] = "1"', 'C[1][2][1] = "1"', 'C[4][1][2] = "1"', 'L[2][1] = "1"',
+    'L[1][4] = "1"', '1 = "(x1 + 2"', '1 = "1/0"', '1 = "x1 $ 2"', '1 = "y7"', "1 = x1", '2,1 = "1"', 'x = "1"',
+    '4 = "1"', 'rank = "2"',
+]
+
+
+def _indices(draw, size, top):
+    """A strictly increasing tuple of `size` indices from 1..top."""
+    if size == 0:
+        return ()
+    return tuple(sorted(draw(st.sets(st.integers(1, top), min_size=size, max_size=size))))
+
+
+def _section_lines(draw, header):
+    base = draw(st.sampled_from(_BASES))
+    n = base.count(",") + 1
+    lines = [f"[{header}]", f"base = {base}"]
+    keys = set()
+    if header == "algebroid":
+        rank = draw(st.integers(0, 3))
+        lines.append(f"rank = {rank}")
+        for _ in range(draw(st.integers(0, 3)) if rank else 0):
+            if rank < 2 or draw(st.booleans()):
+                keys.add("anchor[{}][{}]".format(draw(st.integers(1, rank)), draw(st.integers(1, n))))
+            else:
+                keys.add("C[{}][{}][{}]".format(draw(st.integers(1, rank)), *_indices(draw, 2, rank)))
+    elif n >= 2:
+        keys.update("L[{}][{}]".format(*_indices(draw, 2, n)) for _ in range(draw(st.integers(1, 2))))
+    return lines + [f"{key} = {draw(_EXPRESSIONS)}" for key in sorted(keys)], rank if header == "algebroid" else n
+
+
+@st.composite
+def model_texts(draw):
+    """Model text from small pools: [algebroid] and [poisson] sections whose
+    bases may clash with the fiber names xi1 or zeta1, element blocks, and
+    at most one malformed line."""
+    lines = []
+    ranks = {}
+    for header in draw(st.lists(st.sampled_from(["algebroid", "poisson"]), min_size=1, max_size=2, unique=True)):
+        section, ranks[header] = _section_lines(draw, header)
+        lines += section
+    top = ranks.get("algebroid", ranks.get("poisson"))
+    for name in ("a", "b"):
+        lines.append(f"[{draw(st.sampled_from(['form', 'multivector']))} {name}]")
+        for size in draw(st.lists(st.integers(0, min(top, 2)), min_size=1, max_size=2, unique=True)):
+            index = _indices(draw, size, top)
+            lines.append(f"{','.join(map(str, index)) or 'scalar'} = {draw(_EXPRESSIONS)}")
+    if draw(st.integers(0, 3)) == 0:
+        lines.insert(draw(st.integers(1, len(lines))), draw(st.sampled_from(_DEFECTS)))
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def invocations(draw):
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    count = COMMANDS[command].operands
+    names = draw(st.lists(st.sampled_from(["a", "b", "a", "b", "c"]), min_size=count, max_size=count))
+    return [command, *names, *(flag for flag in ("--json", "--force") if draw(st.booleans()))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=model_texts(), invocation=invocations())
+@example(text=clash_model("xi1"), invocation=["dual"])
+@example(text=clash_model("zeta1"), invocation=["dual-verify"])
+def test_exit_code_contract(text, invocation):
+    # Exponents in the pool stay small: unbounded powers are a separate,
+    # known runaway that this test does not cover.
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as work:
+        path = Path(work) / "model.alg"
+        path.write_text(text, encoding="utf-8")
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([*invocation, "--model", str(path)])
+    assert code in (0, 1, 2)
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("algebroids: ")

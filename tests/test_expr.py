@@ -7,10 +7,6 @@ from hypothesis import given, strategies as st
 from algebroids.expr import (
     Expr,
     ParseError,
-    differentiate,
-    eval_at,
-    format_expr,
-    is_zero,
     parse,
     validate_chart,
 )
@@ -79,41 +75,36 @@ def test_additive_inverse_and_scale():
 
 
 def test_commutativity_is_canonical():
-    assert is_zero(parse("x1*x2 - x2*x1", CHART))
+    assert parse("x1*x2 - x2*x1", CHART).is_zero()
 
 
 def test_differentiate_power_rule():
     f = parse("x1^2*x2", CHART)
-    assert differentiate(f, "x1") == parse("2*x1*x2", CHART)
-    assert differentiate(parse("x1", CHART), "x2").is_zero()
-    assert differentiate(parse("x1+3", CHART), "x1") == Expr.const(1)
-
-
-def test_differentiate_unknown_coordinate_with_chart():
-    with pytest.raises(ValueError):
-        differentiate(Expr.var("x1"), "y", chart=CHART)
+    assert f.diff("x1") == parse("2*x1*x2", CHART)
+    assert parse("x1", CHART).diff("x2").is_zero()
+    assert parse("x1+3", CHART).diff("x1") == Expr.const(1)
 
 
 def test_eval_at():
     f = parse("x1^2", CHART)
-    assert eval_at(f, {"x1": Fraction(3, 2)}) == Fraction(9, 4)
-    assert eval_at(Expr.const(0), {}) == 0
-    assert eval_at(parse("x1+x2", CHART), {"x1": 1, "x2": -1}) == 0
+    assert f.eval_at({"x1": Fraction(3, 2)}) == Fraction(9, 4)
+    assert Expr.const(0).eval_at({}) == 0
+    assert parse("x1+x2", CHART).eval_at({"x1": 1, "x2": -1}) == 0
     with pytest.raises(ValueError):
-        eval_at(f, {"x2": 1})
+        f.eval_at({"x2": 1})
 
 
 def test_print_is_deterministic_graded_lex():
     f = parse("x2 + x1^2 + 1 + x1*x2", CHART)
-    assert format_expr(f, CHART) == "x1^2 + x1*x2 + x2 + 1"
+    assert f.to_text(CHART) == "x1^2 + x1*x2 + x2 + 1"
     g = parse("-x1 + 2*x2 - 3/4", CHART)
-    assert format_expr(g, CHART) == "-x1 + 2*x2 - 3/4"
+    assert g.to_text(CHART) == "-x1 + 2*x2 - 3/4"
 
 
 def test_print_parse_roundtrip_examples():
     for text in ["0", "x1", "-x1", "x1^2 + x1*x2 + x2 + 1", "-3/4", "2*x1 - 1/2"]:
         f = parse(text, CHART)
-        assert parse(format_expr(f, CHART), CHART) == f
+        assert parse(f.to_text(CHART), CHART) == f
 
 
 def test_chart_validation():
