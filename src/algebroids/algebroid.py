@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
+from types import MappingProxyType
 
 from .expr import ONE, ZERO, as_expr, validate_chart
 
@@ -21,14 +22,16 @@ from .expr import ONE, ZERO, as_expr, validate_chart
 class Algebroid:
     """Polynomial Lie algebroid structure data. Tables are immutable."""
 
-    __slots__ = ("chart", "rank", "anchor", "structure", "verified")
+    __slots__ = ("chart", "rank", "anchor", "structure", "verified", "_d_generators")
 
     def __init__(self, chart, rank, anchor, structure):
         self.chart = chart
         self.rank = rank
         self.anchor = anchor  # tuple of k rows, each a tuple of n Expr
-        self.structure = structure  # {(a, b): {c: Expr}} with a < b, values nonzero
+        # read-only {(a, b): {c: Expr}} with a < b, values nonzero
+        self.structure = MappingProxyType({ab: MappingProxyType(dict(t)) for ab, t in structure.items()})
         self.verified = False
+        self._d_generators = None  # exterior_derivative's tables, built on first use
 
     def __eq__(self, other):
         if not isinstance(other, Algebroid):

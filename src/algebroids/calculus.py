@@ -6,6 +6,10 @@ to a sparse table of coefficients on strictly increasing index tuples from
 (e_{i1}, ..., e_{ip}); the wedge follows the shuffle convention with no
 factorial normalization, so the dual bases stay dual degreewise.
 
+The exterior derivative is the degree-1 derivation generated by
+d f = sum_a rho(e_a)f e^a and d e^c = -sum_{a<b} C^c_ab e^a ∧ e^b; it
+scatters from the nonzero terms of a form, never visiting empty tuples.
+
 Two independent implementations of the Schouten bracket live here on purpose.
 schouten_bracket extracts coefficients by applying the graded commutator
 [[i(P), d], i(Q)] to dual basis forms; schouten_oracle recurses through wedge
@@ -317,45 +321,48 @@ def pairing(eta, P):
     return total
 
 
-def exterior_derivative(algebroid, eta):
-    """Exterior derivative from the structure data: anchor terms with
-    alternating signs plus signed bracket contractions.
+def _d_generators(algebroid):
+    """d on generators, built once per algebroid: {c: [((a, b), -C^c_ab)]}
+    for d e^c, and {coordinate: [(a, rho^i_a)]} over nonzero anchor entries."""
+    tables = algebroid._d_generators
+    if tables is None:
+        duals = {}
+        for ab, entries in algebroid.structure.items():
+            for c, value in entries.items():
+                duals.setdefault(c, []).append((ab, -value))
+        columns = {}
+        for i, name in enumerate(algebroid.chart):
+            column = [(a, row[i]) for a, row in enumerate(algebroid.anchor, start=1) if row[i]]
+            if column:
+                columns[name] = column
+        tables = algebroid._d_generators = (duals, columns)
+    return tables
 
-    The degree-(p+1) coefficient on J is
-      sum_t (-1)^t rho(e_{j_t}) eta(J minus j_t)
-      + sum_{s<t} (-1)^{s+t} eta({e_{j_s}, e_{j_t}}, J minus both).
-    """
+
+def exterior_derivative(algebroid, eta):
+    """Exterior derivative by the graded Leibniz rule on each term f e^I:
+      d(f e^I) = df ∧ e^I + sum_t (-1)^t f (d e^{i_t}) ∧ e^{I minus i_t}.
+    The generator tables come from `algebroid`, not from eta.algebroid."""
     _require_variance(eta, FORM, "exterior_derivative")
     _require_over(algebroid, eta, "exterior_derivative")
-    k = algebroid.rank
+    duals, columns = _d_generators(algebroid)
     out = {}
     for p, table in eta.components.items():
-        if p == 0:
-            f = table[()]
-            for a in range(1, k + 1):
-                _accumulate(out, 1, (a,), algebroid.apply_anchor(a, f))
-            continue
-        for J in combinations(range(1, k + 1), p + 1):
-            total = ZERO
-            for t in range(p + 1):
-                omitted = J[:t] + J[t + 1 :]
-                value = table.get(omitted, ZERO)
-                if value:
-                    term = algebroid.apply_anchor(J[t], value)
-                    total = total + (-term if t & 1 else term)
-            for s in range(p + 1):
-                for t in range(s + 1, p + 1):
-                    bracket = algebroid.bracket_table(J[s], J[t])
-                    if not bracket:
-                        continue
-                    rest = tuple(J[u] for u in range(p + 1) if u != s and u != t)
-                    inner = ZERO
-                    for c, cab in bracket.items():
-                        ev = _eval_index(table, (c,) + rest)
-                        if ev:
-                            inner = inner + cab * ev
-                    total = total + (-inner if (s + t) & 1 else inner)
-            _accumulate(out, p + 1, J, total)
+        for I, f in table.items():
+            for name in f.variables() & columns.keys():
+                df = f.diff(name)
+                for a, rho in columns[name]:
+                    merged = _merge_indices((a,), I)
+                    if merged is not None:
+                        term = rho * df
+                        _accumulate(out, p + 1, merged[1], -term if merged[0] else term)
+            for t, c in enumerate(I):
+                rest = I[:t] + I[t + 1 :]
+                for ab, value in duals.get(c, ()):
+                    merged = _merge_indices(ab, rest)
+                    if merged is not None:
+                        term = f * value
+                        _accumulate(out, p + 1, merged[1], -term if merged[0] ^ (t & 1) else term)
     return GradedElement(algebroid, FORM, out)
 
 

@@ -240,3 +240,17 @@ def test_algebroid_equality_and_shape():
     assert A.same_shape(heisenberg())
     assert not A.same_shape(construct_tangent(2))
     assert A != heisenberg()
+
+
+def test_structure_tables_are_read_only():
+    # exterior_derivative caches tables derived from `structure`, so the
+    # structure must not change under it.
+    constants = {(1, 2): {3: 1}, (2, 3): {1: 1}, (1, 3): {2: -1}}
+    A = construct_lie_algebra(3, constants)
+    with pytest.raises(TypeError):
+        A.structure[(1, 2)] = {3: Expr.const(2)}
+    with pytest.raises(TypeError):
+        A.structure[(1, 2)][3] = Expr.const(2)
+    constants[(1, 2)][3] = 2
+    assert A.bracket_table(1, 2) == {3: Expr.const(1)}
+    assert A.structure == so3().structure

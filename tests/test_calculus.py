@@ -2,16 +2,20 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from algebroids import (
     FORM,
     MULTIVECTOR,
+    Algebroid,
     GradedElement,
     OperatorValue,
     ReconstructionError,
     bracket_sections,
+    construct_lie_algebra,
     construct_tangent,
     delta_reconstruct,
     exterior_derivative,
@@ -31,6 +35,7 @@ from algebroids.expr import Expr
 from util import (
     broken_jacobi,
     d_operator,
+    dense_d,
     random_form,
     random_mixed,
     random_multivector,
@@ -333,6 +338,80 @@ def test_d_matches_lie_derivative_expansion():
             for _ in range(4):
                 eta = random_form(rng, A, p)
                 assert exterior_derivative(A, eta) == alternate_d(A, eta)
+
+
+def random_tables(rng, chart, rank):
+    """Anchor and structure tables with random polynomial entries; the
+    algebroid axioms need not hold."""
+    anchor = [[random_poly(rng, chart) if rng.random() < 0.5 else 0 for _ in chart] for _ in range(rank)]
+    structure = {
+        (a, b): {c: random_poly(rng, chart) for c in range(1, rank + 1) if rng.random() < 0.4}
+        for a, b in combinations(range(1, rank + 1), 2)
+    }
+    return anchor, structure
+
+
+D_FIXTURES = verified_fixtures() + [("broken-jacobi", broken_jacobi())]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    source=st.one_of(st.sampled_from(D_FIXTURES), st.tuples(st.integers(0, 5), st.integers(0, 3))),
+    foreign=st.booleans(),
+)
+def test_d_matches_dense_reference(seed, source, foreign):
+    rng = random.Random(seed)
+    if isinstance(source[1], Algebroid):
+        A = source[1]
+    else:
+        rank, n = source
+        chart = tuple(f"x{i + 1}" for i in range(n))
+        A = new_algebroid(chart, rank, *random_tables(rng, chart, rank))
+    # delta_reconstruct differentiates forms built over a same-shape scaffold
+    over = new_algebroid(A.chart, A.rank, *random_tables(rng, A.chart, A.rank)) if foreign else A
+    eta = random_mixed(rng, over, FORM)
+    assert exterior_derivative(A, eta) == dense_d(A, eta)
+
+
+def so_n_constants(n):
+    """Structure constants of so(n) on the basis E_ij = e_i e_j^T - e_j e_i^T
+    (i < j), from [E_ij, E_kl] = d_jk E_il - d_jl E_ik - d_ik E_jl + d_il E_jk."""
+    pairs = list(combinations(range(1, n + 1), 2))
+    index = {pair: a for a, pair in enumerate(pairs, start=1)}
+    constants = {}
+    for (a, (i, j)), (b, (k, l)) in combinations(enumerate(pairs, start=1), 2):
+        table = {}
+        terms = ((j, k, i, l, 1), (j, l, i, k, -1), (i, k, j, l, -1), (i, l, j, k, 1))
+        for s, t, u, v, sign in terms:
+            if s == t and u != v:
+                c, sign = (index[(u, v)], sign) if u < v else (index[(v, u)], -sign)
+                table[c] = table.get(c, 0) + sign
+        constants[(a, b)] = {c: v for c, v in table.items() if v}
+    return constants
+
+
+def test_d_work_follows_input_terms(monkeypatch):
+    constants = so_n_constants(6)
+    A = construct_lie_algebra(15, constants)
+    calls = []
+
+    def counting(name):
+        original = getattr(Algebroid, name)
+
+        def wrapper(self, *args):
+            calls.append(name)
+            return original(self, *args)
+
+        return wrapper
+
+    for name in ("bracket_table", "apply_anchor"):
+        monkeypatch.setattr(Algebroid, name, counting(name))
+    for c in range(1, 16):
+        expected = {(a, b): -table[c] for (a, b), table in constants.items() if c in table}
+        assert exterior_derivative(A, GradedElement.basis(A, FORM, (c,))) == form(A, {2: expected})
+    assert exterior_derivative(A, GradedElement.scalar(A, FORM, 7)).is_zero()
+    assert calls == []
 
 
 def test_d_requires_form():

@@ -20,7 +20,8 @@ from algebroids import (
     new_poisson,
     verify_axioms,
 )
-from algebroids.expr import Expr
+from algebroids.calculus import _accumulate, _eval_index, _require_over, _require_variance
+from algebroids.expr import ZERO, Expr
 
 X1, X2, X3 = Expr.var("x1"), Expr.var("x2"), Expr.var("x3")
 
@@ -122,3 +123,48 @@ def random_mixed(rng, algebroid, variance, max_degree=None):
         if rng.random() < 0.6:
             total = total + random_homogeneous(rng, algebroid, variance, degree)
     return total
+
+
+def dense_d(algebroid, eta):
+    """Exterior derivative from the structure data: anchor terms with
+    alternating signs plus signed bracket contractions.
+
+    The degree-(p+1) coefficient on J is
+      sum_t (-1)^t rho(e_{j_t}) eta(J minus j_t)
+      + sum_{s<t} (-1)^{s+t} eta({e_{j_s}, e_{j_t}}, J minus both).
+
+    The dense reference for the library's sparse exterior_derivative: it
+    visits every index tuple of each degree.
+    """
+    _require_variance(eta, FORM, "exterior_derivative")
+    _require_over(algebroid, eta, "exterior_derivative")
+    k = algebroid.rank
+    out = {}
+    for p, table in eta.components.items():
+        if p == 0:
+            f = table[()]
+            for a in range(1, k + 1):
+                _accumulate(out, 1, (a,), algebroid.apply_anchor(a, f))
+            continue
+        for J in combinations(range(1, k + 1), p + 1):
+            total = ZERO
+            for t in range(p + 1):
+                omitted = J[:t] + J[t + 1 :]
+                value = table.get(omitted, ZERO)
+                if value:
+                    term = algebroid.apply_anchor(J[t], value)
+                    total = total + (-term if t & 1 else term)
+            for s in range(p + 1):
+                for t in range(s + 1, p + 1):
+                    bracket = algebroid.bracket_table(J[s], J[t])
+                    if not bracket:
+                        continue
+                    rest = tuple(J[u] for u in range(p + 1) if u != s and u != t)
+                    inner = ZERO
+                    for c, cab in bracket.items():
+                        ev = _eval_index(table, (c,) + rest)
+                        if ev:
+                            inner = inner + cab * ev
+                    total = total + (-inner if (s + t) & 1 else inner)
+            _accumulate(out, p + 1, J, total)
+    return GradedElement(algebroid, FORM, out)
