@@ -6,9 +6,11 @@ to a sparse table of coefficients on strictly increasing index tuples from
 (e_{i1}, ..., e_{ip}); the wedge follows the shuffle convention with no
 factorial normalization, so the dual bases stay dual degreewise.
 
-The exterior derivative is the degree-1 derivation generated by
-d f = sum_a rho(e_a)f e^a and d e^c = -sum_{a<b} C^c_ab e^a ∧ e^b; it
-scatters from the nonzero terms of a form, never visiting empty tuples.
+The exterior derivative and both Lie derivatives are derivations of the wedge
+algebra, fixed by their values on functions and basis elements: d f = sum_a
+rho(e_a)f e^a, d e^c = -sum_{a<b} C^c_ab e^a ∧ e^b; L_V f = rho(V)f,
+L_V e_b = {V, e_b}, L_V e^c = -sum_b <e^c, {V, e_b}> e^b. One scatter,
+_derive, applies each from the nonzero terms of its input.
 
 Two independent implementations of the Schouten bracket live here on purpose.
 schouten_bracket extracts coefficients by applying the graded commutator
@@ -211,23 +213,6 @@ def _merge_indices(I, J):
     return (inversions & 1, tuple(out))
 
 
-def _eval_index(table, seq):
-    """Value of a degree-p table on an arbitrary index sequence: zero on
-    repeats, otherwise the sorted coefficient times the sorting sign."""
-    seq = tuple(seq)
-    if len(set(seq)) != len(seq):
-        return ZERO
-    inversions = 0
-    for s in range(len(seq)):
-        for t in range(s + 1, len(seq)):
-            if seq[s] > seq[t]:
-                inversions += 1
-    value = table.get(tuple(sorted(seq)), ZERO)
-    if inversions & 1:
-        return -value
-    return value
-
-
 def wedge(P, Q):
     """Exterior product under the shuffle convention. Degree-0 factors
     multiply coefficients; on basis monomials e_I ∧ e_J is the signed merge."""
@@ -321,9 +306,35 @@ def pairing(eta, P):
     return total
 
 
+def _derive(algebroid, variance, element, shift, columns, images):
+    """The derivation D of degree `shift` with D f = sum_i d_i f columns[x_i]
+    and D e_c = images[c]; each value is a list of (index tuple, Expr). It
+    scatters from the nonzero terms f e_I of `element`:
+      D(f e_I) = D f ∧ e_I + sum_t (-1)^t f (D e_{i_t}) ∧ e_{I minus i_t},
+    the sign moving D e_{i_t} to the front for shift 0 and shift 1 alike."""
+    out = {}
+    for p, table in element.components.items():
+        for I, f in table.items():
+            for name in f.variables() & columns.keys():
+                df = f.diff(name)
+                for J, value in columns[name]:
+                    merged = _merge_indices(J, I)
+                    if merged is not None:
+                        term = value * df
+                        _accumulate(out, p + shift, merged[1], -term if merged[0] else term)
+            for t, c in enumerate(I):
+                rest = I[:t] + I[t + 1 :]
+                for J, value in images.get(c, ()):
+                    merged = _merge_indices(J, rest)
+                    if merged is not None:
+                        term = f * value
+                        _accumulate(out, p + shift, merged[1], -term if merged[0] ^ (t & 1) else term)
+    return GradedElement(algebroid, variance, out)
+
+
 def _d_generators(algebroid):
     """d on generators, built once per algebroid: {c: [((a, b), -C^c_ab)]}
-    for d e^c, and {coordinate: [(a, rho^i_a)]} over nonzero anchor entries."""
+    for d e^c, and {coordinate: [((a,), rho^i_a)]} over nonzero anchor entries."""
     tables = algebroid._d_generators
     if tables is None:
         duals = {}
@@ -332,10 +343,10 @@ def _d_generators(algebroid):
                 duals.setdefault(c, []).append((ab, -value))
         columns = {}
         for i, name in enumerate(algebroid.chart):
-            column = [(a, row[i]) for a, row in enumerate(algebroid.anchor, start=1) if row[i]]
+            column = [((a,), row[i]) for a, row in enumerate(algebroid.anchor, start=1) if row[i]]
             if column:
                 columns[name] = column
-        tables = algebroid._d_generators = (duals, columns)
+        tables = algebroid._d_generators = (columns, duals)
     return tables
 
 
@@ -345,84 +356,47 @@ def exterior_derivative(algebroid, eta):
     The generator tables come from `algebroid`, not from eta.algebroid."""
     _require_variance(eta, FORM, "exterior_derivative")
     _require_over(algebroid, eta, "exterior_derivative")
-    duals, columns = _d_generators(algebroid)
-    out = {}
-    for p, table in eta.components.items():
-        for I, f in table.items():
-            for name in f.variables() & columns.keys():
-                df = f.diff(name)
-                for a, rho in columns[name]:
-                    merged = _merge_indices((a,), I)
-                    if merged is not None:
-                        term = rho * df
-                        _accumulate(out, p + 1, merged[1], -term if merged[0] else term)
-            for t, c in enumerate(I):
-                rest = I[:t] + I[t + 1 :]
-                for ab, value in duals.get(c, ()):
-                    merged = _merge_indices(ab, rest)
-                    if merged is not None:
-                        term = f * value
-                        _accumulate(out, p + 1, merged[1], -term if merged[0] ^ (t & 1) else term)
-    return GradedElement(algebroid, FORM, out)
+    return _derive(algebroid, FORM, eta, 1, *_d_generators(algebroid))
 
 
-def _section_bracket_tables(algebroid, V):
-    """Coefficients of {V, e_b} for each basis index b, as sparse tables."""
-    tables = []
+def _lie_generators(algebroid, V, context):
+    """L_V on generators: {coordinate: [((), rho(V)^i)]} for L_V f, and
+    {b: [((c,), <e^c, {V, e_b}>)]} for L_V e_b, from k section brackets."""
+    _require_variance(V, MULTIVECTOR, context)
+    _require_over(algebroid, V, context)
+    vcoeffs = _alg._section_coeffs(V)
+    columns = {}
+    for i, name in enumerate(algebroid.chart):
+        value = sum((fa * algebroid.anchor[a - 1][i] for a, fa in vcoeffs.items()), ZERO)
+        if value:
+            columns[name] = [((), value)]
+    brackets = {}
     for b in range(1, algebroid.rank + 1):
         eb = GradedElement(algebroid, MULTIVECTOR, {1: {(b,): ONE}})
-        result = _alg.bracket_sections(algebroid, V, eb)
-        tables.append({index[0]: value for index, value in result.components.get(1, {}).items()})
-    return tables
+        brackets[b] = list(_alg.bracket_sections(algebroid, V, eb).components.get(1, {}).items())
+    return columns, brackets
 
 
 def lie_derivative_form(algebroid, V, eta):
-    """Lie derivative of a form along a section: differentiate each
-    coefficient through the anchor, minus the terms replacing one slot of the
-    index tuple by the bracket {V, e_slot}."""
+    """Lie derivative of a form along a section: the degree-0 derivation with
+    L_V f = rho(V) f and L_V e^c = -sum_b <e^c, {V, e_b}> e^b."""
     _require_variance(eta, FORM, "lie_derivative_form")
-    _require_variance(V, MULTIVECTOR, "lie_derivative_form")
     _require_over(algebroid, eta, "lie_derivative_form")
-    _require_over(algebroid, V, "lie_derivative_form")
-    vcoeffs = _alg._section_coeffs(V)
-    brackets = _section_bracket_tables(algebroid, V)
-    out = {}
-    for p, table in eta.components.items():
-        if p == 0:
-            _accumulate(out, 0, (), algebroid.apply_anchor_section(vcoeffs, table[()]))
-            continue
-        for I in combinations(range(1, algebroid.rank + 1), p):
-            value = table.get(I, ZERO)
-            total = algebroid.apply_anchor_section(vcoeffs, value) if value else ZERO
-            for slot in range(p):
-                for c, w in brackets[I[slot] - 1].items():
-                    ev = _eval_index(table, I[:slot] + (c,) + I[slot + 1 :])
-                    if ev:
-                        total = total - w * ev
-            _accumulate(out, p, I, total)
-    return GradedElement(algebroid, FORM, out)
+    columns, brackets = _lie_generators(algebroid, V, "lie_derivative_form")
+    images = {}
+    for b, entries in brackets.items():
+        for (c,), value in entries:
+            images.setdefault(c, []).append(((b,), -value))
+    return _derive(algebroid, FORM, eta, 0, columns, images)
 
 
 def lie_derivative_multivector(algebroid, V, P):
-    """Lie derivative of a multivector, determined against all dual basis
-    forms by the pairing rule rho(V)<eta,P> = <L(V)eta,P> + <eta,L(V)P>."""
+    """Lie derivative of a multivector along a section: the degree-0
+    derivation with L_V f = rho(V) f and L_V e_b = {V, e_b}."""
     _require_variance(P, MULTIVECTOR, "lie_derivative_multivector")
-    _require_variance(V, MULTIVECTOR, "lie_derivative_multivector")
     _require_over(algebroid, P, "lie_derivative_multivector")
-    _require_over(algebroid, V, "lie_derivative_multivector")
-    vcoeffs = _alg._section_coeffs(V)
-    out = {}
-    for p, table in P.components.items():
-        if p == 0:
-            _accumulate(out, 0, (), algebroid.apply_anchor_section(vcoeffs, table[()]))
-            continue
-        for I in combinations(range(1, algebroid.rank + 1), p):
-            eI = GradedElement(algebroid, FORM, {p: {I: ONE}})
-            correction = pairing(lie_derivative_form(algebroid, V, eI), P)
-            value = table.get(I, ZERO)
-            total = algebroid.apply_anchor_section(vcoeffs, value) if value else ZERO
-            _accumulate(out, p, I, total - correction)
-    return GradedElement(algebroid, MULTIVECTOR, out)
+    columns, brackets = _lie_generators(algebroid, V, "lie_derivative_multivector")
+    return _derive(algebroid, MULTIVECTOR, P, 0, columns, brackets)
 
 
 class OperatorValue:
@@ -529,8 +503,9 @@ def schouten_oracle(algebroid, P, Q):
 
     Splits P as (head section) wedge (rest) and applies the graded left
     derivation rule, with Lie derivatives at degree one and the antisymmetry
-    flip at degree zero. Shares no code with the operator extraction above
-    beyond the Lie derivative itself.
+    flip at degree zero. Beyond the Lie derivative it shares with the
+    operator extraction only the scatter _derive behind d and the Lie
+    derivatives, which the tests' dense references guard.
     """
     _require_variance(P, MULTIVECTOR, "schouten_oracle")
     _require_variance(Q, MULTIVECTOR, "schouten_oracle")

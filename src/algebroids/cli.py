@@ -27,6 +27,10 @@ from . import poisson as _poi
 from .expr import ZERO, ParseError, parse, validate_chart
 
 
+# Largest model rank: the checks visit all index triples; no fixture or benchmark exceeds 10.
+MAX_RANK = 64
+
+
 class ModelError(Exception):
     """Model-file grammar or validation failure; always exits with code 2."""
 
@@ -186,8 +190,8 @@ def _check_base(section, source):
 def _build_algebroid(section, source):
     base = _check_base(section, source)
     rank = section.rank
-    if rank < 0:
-        raise ModelError(f"{source}: [algebroid] rank must be nonnegative")
+    if not 0 <= rank <= MAX_RANK:
+        raise ModelError(f"{source}: [algebroid] rank must be nonnegative and at most {MAX_RANK}, got {rank}")
     anchor = [[ZERO] * len(base) for _ in range(rank)]
     structure = {}
     for (kind, *indices), text in section.entries.items():

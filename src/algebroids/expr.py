@@ -22,6 +22,8 @@ NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 # Exponents are meant to stay desk-sized; anything approaching this bound is
 # a runaway computation, not a legitimate input.
 MAX_EXPONENT = 2**31 - 1
+# Parentheses nest at most this deep, safely below the interpreter's recursion limit.
+MAX_NESTING = 100
 
 
 class ParseError(ValueError):
@@ -368,6 +370,7 @@ class _Parser:
     def __init__(self, text, chart):
         self.tokens = _Tokenizer(text).tokens
         self.pos = 0
+        self.depth = 0
         self.chart = set(chart)
 
     def peek(self):
@@ -442,8 +445,12 @@ class _Parser:
                 raise ParseError(f"unknown variable '{value}'", pos)
             return Expr.var(value)
         if kind == "LPAREN":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", pos)
             inner = self.parse_expr()
             self.expect("RPAREN", "')'")
+            self.depth -= 1
             return inner
         raise ParseError("expected a number, a variable, or '('", pos)
 

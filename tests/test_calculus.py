@@ -36,6 +36,8 @@ from util import (
     broken_jacobi,
     d_operator,
     dense_d,
+    dense_lie_form,
+    dense_lie_multivector,
     random_form,
     random_mixed,
     random_multivector,
@@ -374,6 +376,27 @@ def test_d_matches_dense_reference(seed, source, foreign):
     assert exterior_derivative(A, eta) == dense_d(A, eta)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    source=st.one_of(st.sampled_from(D_FIXTURES), st.tuples(st.integers(0, 5), st.integers(0, 3))),
+    zero_section=st.booleans(),
+)
+def test_lie_derivatives_match_dense_reference(seed, source, zero_section):
+    rng = random.Random(seed)
+    if isinstance(source[1], Algebroid):
+        A = source[1]
+    else:
+        rank, n = source
+        chart = tuple(f"x{i + 1}" for i in range(n))
+        A = new_algebroid(chart, rank, *random_tables(rng, chart, rank))
+    V = GradedElement.zero(A, MULTIVECTOR) if zero_section else random_multivector(rng, A, 1)
+    eta = random_mixed(rng, A, FORM)
+    P = random_mixed(rng, A, MULTIVECTOR)
+    assert lie_derivative_form(A, V, eta) == dense_lie_form(A, V, eta)
+    assert lie_derivative_multivector(A, V, P) == dense_lie_multivector(A, V, P)
+
+
 def so_n_constants(n):
     """Structure constants of so(n) on the basis E_ij = e_i e_j^T - e_j e_i^T
     (i < j), from [E_ij, E_kl] = d_jk E_il - d_jl E_ik - d_ik E_jl + d_il E_jk."""
@@ -412,6 +435,24 @@ def test_d_work_follows_input_terms(monkeypatch):
         assert exterior_derivative(A, GradedElement.basis(A, FORM, (c,))) == form(A, {2: expected})
     assert exterior_derivative(A, GradedElement.scalar(A, FORM, 7)).is_zero()
     assert calls == []
+
+
+def test_lie_multivector_work_follows_input(monkeypatch):
+    A = construct_lie_algebra(15, so_n_constants(6))
+    original = bracket_sections
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr("algebroids.algebroid.bracket_sections", counting)
+    V = GradedElement.basis(A, MULTIVECTOR, (1,))
+    P = GradedElement.basis(A, MULTIVECTOR, (2, 3))
+    result = lie_derivative_multivector(A, V, P)
+    assert len(calls) == 15
+    monkeypatch.undo()
+    assert result == schouten_bracket(A, V, P)
 
 
 def test_d_requires_form():

@@ -215,6 +215,19 @@ def clash_model(name):
     return f'[algebroid]\nbase = [ "{name}" ]\nrank = 1\nanchor[1][1] = "1"\n'
 
 
+def test_rank_above_bound_exits_2(tmp_path, capsys):
+    model = write_model(tmp_path, '[algebroid]\nbase = [ ]\nrank = 65\n')
+    assert main(["check", "--model", model]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"algebroids: {model}: [algebroid] rank must be nonnegative and at most 64, got 65"]
+
+
+# Hypothesis lifts the recursion limit about 2,000 frames above the test, so
+# only nesting this deep overflows a recursive parser in-process; the CLI's
+# default limit already overflows at about 200 levels.
+DEEP_MODEL = '[poisson]\nbase = [ "x1", "x2" ]\nL[1][2] = "' + "(" * 1000 + "x1" + ")" * 1000 + '"\n'
+
+
 @pytest.mark.parametrize("name,command", [("xi1", "dual"), ("zeta1", "dual-verify")])
 def test_fiber_name_clash_exits_2(tmp_path, capsys, name, command):
     assert main([command, "--model", write_model(tmp_path, clash_model(name))]) == 2
@@ -331,6 +344,7 @@ def invocations(draw):
 @given(text=model_texts(), invocation=invocations())
 @example(text=clash_model("xi1"), invocation=["dual"])
 @example(text=clash_model("zeta1"), invocation=["dual-verify"])
+@example(text=DEEP_MODEL, invocation=["poisson-check"])
 def test_exit_code_contract(text, invocation):
     # Exponents in the pool stay small: unbounded powers are a separate,
     # known runaway that this test does not cover.

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from algebroids.expr import (
+    MAX_NESTING,
     Expr,
     ParseError,
     parse,
@@ -17,6 +18,13 @@ CHART = ("x1", "x2", "x3")
 def test_parse_zero_is_empty_table():
     assert parse("0", CHART).is_zero()
     assert dict(parse("0", CHART).items()) == {}
+
+
+def test_parse_nesting_bound():
+    at_bound = "(" * MAX_NESTING + "x1" + ")" * MAX_NESTING
+    assert parse(at_bound, CHART) == Expr.var("x1")
+    with pytest.raises(ParseError, match="nested deeper"):
+        parse("(" + at_bound + ")", CHART)
 
 
 def test_parse_merges_exponents():

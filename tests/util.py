@@ -13,15 +13,18 @@ from algebroids import (
     MULTIVECTOR,
     GradedElement,
     OperatorValue,
+    bracket_sections,
     construct_lie_algebra,
     construct_tangent,
     cotangent_algebroid,
     exterior_derivative,
     new_poisson,
+    pairing,
     verify_axioms,
 )
-from algebroids.calculus import _accumulate, _eval_index, _require_over, _require_variance
-from algebroids.expr import ZERO, Expr
+from algebroids.algebroid import _section_coeffs
+from algebroids.calculus import _accumulate, _require_over, _require_variance
+from algebroids.expr import ONE, ZERO, Expr
 
 X1, X2, X3 = Expr.var("x1"), Expr.var("x2"), Expr.var("x3")
 
@@ -125,6 +128,23 @@ def random_mixed(rng, algebroid, variance, max_degree=None):
     return total
 
 
+def _eval_index(table, seq):
+    """Value of a degree-p table on an arbitrary index sequence: zero on
+    repeats, otherwise the sorted coefficient times the sorting sign."""
+    seq = tuple(seq)
+    if len(set(seq)) != len(seq):
+        return ZERO
+    inversions = 0
+    for s in range(len(seq)):
+        for t in range(s + 1, len(seq)):
+            if seq[s] > seq[t]:
+                inversions += 1
+    value = table.get(tuple(sorted(seq)), ZERO)
+    if inversions & 1:
+        return -value
+    return value
+
+
 def dense_d(algebroid, eta):
     """Exterior derivative from the structure data: anchor terms with
     alternating signs plus signed bracket contractions.
@@ -168,3 +188,70 @@ def dense_d(algebroid, eta):
                     total = total + (-inner if (s + t) & 1 else inner)
             _accumulate(out, p + 1, J, total)
     return GradedElement(algebroid, FORM, out)
+
+
+def _section_bracket_tables(algebroid, V):
+    """Coefficients of {V, e_b} for each basis index b, as sparse tables."""
+    tables = []
+    for b in range(1, algebroid.rank + 1):
+        eb = GradedElement(algebroid, MULTIVECTOR, {1: {(b,): ONE}})
+        result = bracket_sections(algebroid, V, eb)
+        tables.append({index[0]: value for index, value in result.components.get(1, {}).items()})
+    return tables
+
+
+def dense_lie_form(algebroid, V, eta):
+    """Lie derivative of a form along a section: differentiate each
+    coefficient through the anchor, minus the terms replacing one slot of the
+    index tuple by the bracket {V, e_slot}.
+
+    The dense reference for the library's lie_derivative_form: it visits
+    every index tuple of each degree.
+    """
+    _require_variance(eta, FORM, "lie_derivative_form")
+    _require_variance(V, MULTIVECTOR, "lie_derivative_form")
+    _require_over(algebroid, eta, "lie_derivative_form")
+    _require_over(algebroid, V, "lie_derivative_form")
+    vcoeffs = _section_coeffs(V)
+    brackets = _section_bracket_tables(algebroid, V)
+    out = {}
+    for p, table in eta.components.items():
+        if p == 0:
+            _accumulate(out, 0, (), algebroid.apply_anchor_section(vcoeffs, table[()]))
+            continue
+        for I in combinations(range(1, algebroid.rank + 1), p):
+            value = table.get(I, ZERO)
+            total = algebroid.apply_anchor_section(vcoeffs, value) if value else ZERO
+            for slot in range(p):
+                for c, w in brackets[I[slot] - 1].items():
+                    ev = _eval_index(table, I[:slot] + (c,) + I[slot + 1 :])
+                    if ev:
+                        total = total - w * ev
+            _accumulate(out, p, I, total)
+    return GradedElement(algebroid, FORM, out)
+
+
+def dense_lie_multivector(algebroid, V, P):
+    """Lie derivative of a multivector, determined against all dual basis
+    forms by the pairing rule rho(V)<eta,P> = <L(V)eta,P> + <eta,L(V)P>.
+
+    The dense reference for the library's lie_derivative_multivector: it
+    probes every basis form through dense_lie_form.
+    """
+    _require_variance(P, MULTIVECTOR, "lie_derivative_multivector")
+    _require_variance(V, MULTIVECTOR, "lie_derivative_multivector")
+    _require_over(algebroid, P, "lie_derivative_multivector")
+    _require_over(algebroid, V, "lie_derivative_multivector")
+    vcoeffs = _section_coeffs(V)
+    out = {}
+    for p, table in P.components.items():
+        if p == 0:
+            _accumulate(out, 0, (), algebroid.apply_anchor_section(vcoeffs, table[()]))
+            continue
+        for I in combinations(range(1, algebroid.rank + 1), p):
+            eI = GradedElement(algebroid, FORM, {p: {I: ONE}})
+            correction = pairing(dense_lie_form(algebroid, V, eI), P)
+            value = table.get(I, ZERO)
+            total = algebroid.apply_anchor_section(vcoeffs, value) if value else ZERO
+            _accumulate(out, p, I, total - correction)
+    return GradedElement(algebroid, MULTIVECTOR, out)
