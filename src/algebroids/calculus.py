@@ -533,12 +533,12 @@ class ReconstructionError(ValueError):
 def delta_reconstruct(chart, rank, delta):
     """Rebuild structure data from a degree-1 square-zero derivation of forms.
 
-    The anchor row for e_a is read off the pairings <delta(x^i), e_a>; the
-    structure functions come from applying [[i(e_a), delta], i(e_b)] to dual
-    basis forms. The operator is probed on generators (constants, coordinate
-    scalars, basis 1-forms and their products) before extraction, and the
-    reconstructed tables must pass verify_axioms; any failure raises
-    ReconstructionError with the first offending residual.
+    The anchor row for e_a is read off the pairings <delta(x^i), e_a>, and
+    the structure functions off the images of the basis 1-forms, C^c_ab =
+    -(delta e^c)_ab, as for d e^c. The operator is probed on generators
+    (constants, coordinate scalars, basis 1-forms and their products) before
+    extraction, and the reconstructed tables must pass verify_axioms; any
+    failure raises ReconstructionError with the first offending residual.
     """
     chart = validate_chart(chart)
     if not isinstance(rank, int) or rank < 0:
@@ -604,24 +604,9 @@ def delta_reconstruct(chart, rank, delta):
     ]
 
     structure = {}
-    for a in range(1, rank + 1):
-        ea = vectors[a - 1]
-
-        def commuted(eta):
-            return interior_product(ea, delta(eta)) + delta(interior_product(ea, eta))
-
-        for b in range(a + 1, rank + 1):
-            eb = vectors[b - 1]
-            entries = {}
-            for c in range(1, rank + 1):
-                value_form = commuted(interior_product(eb, duals[c - 1])) - interior_product(
-                    eb, commuted(duals[c - 1])
-                )
-                value = value_form.scalar_part()
-                if value:
-                    entries[c] = value
-            if entries:
-                structure[(a, b)] = entries
+    for c, image in enumerate(dual_images, start=1):
+        for ab, value in image.components.get(2, {}).items():
+            structure.setdefault(ab, {})[c] = -value
 
     result = _alg.new_algebroid(chart, rank, anchor, structure)
     report = _alg.verify_axioms(result)

@@ -14,14 +14,17 @@ an Expr reusable when a chart is extended with new coordinates.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
 NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
-# Exponents are meant to stay desk-sized; anything approaching this bound is
-# a runaway computation, not a legitimate input.
-MAX_EXPONENT = 2**31 - 1
+# Size budget of a power, checked before any multiplication: a t-term base to
+# the n has at most C(n + t - 1, t - 1) terms, and its coefficients at most
+# n * (b + log2 t) bits, b the largest numerator or denominator bit length.
+MAX_POWER_TERMS = 1000
+MAX_POWER_BITS = 1000
 # Parentheses nest at most this deep, safely below the interpreter's recursion limit.
 MAX_NESTING = 100
 
@@ -195,8 +198,11 @@ class Expr:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError(f"exponent must be a nonnegative integer, got {n!r}")
-        if n > MAX_EXPONENT:
-            raise OverflowError(f"exponent {n} exceeds the supported bound")
+        t = len(self._terms)
+        b = max((max(c.numerator.bit_length(), c.denominator.bit_length()) for c in self._terms.values()), default=0)
+        terms = math.comb(n + t - 1, t - 1) if t else 1
+        if terms > MAX_POWER_TERMS or n * (b + math.log2(t or 1)) > MAX_POWER_BITS:
+            raise ValueError(f"power {n} of a {t}-term polynomial exceeds the size budget")
         result = Expr.const(1)
         base = self
         while n:
@@ -425,9 +431,10 @@ class _Parser:
         base = self.parse_base()
         if self.accept("CARET"):
             tok = self.expect("NAT", "an exponent")
-            if tok[1] > MAX_EXPONENT:
-                raise ParseError(f"exponent {tok[1]} exceeds the supported bound", tok[2])
-            return base ** tok[1]
+            try:
+                return base ** tok[1]
+            except ValueError as exc:
+                raise ParseError(str(exc), tok[2]) from None
         return base
 
     def parse_base(self):

@@ -83,6 +83,8 @@ def test_criterion_1_axiom_suite():
         if any(residual):
             failures.append("broken fixture has anchor residuals")
             break
+    if set(report.jacobi_residuals) != {(1, 2, 3)}:
+        failures.append(f"jacobi residual keys {sorted(report.jacobi_residuals)}")
     expected = GradedElement(bad, MULTIVECTOR, {1: {(2,): 1}})
     for key, section in report.jacobi_residuals.items():
         want = expected if key == (1, 2, 3) else GradedElement(bad, MULTIVECTOR, {})

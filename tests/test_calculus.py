@@ -27,14 +27,18 @@ from algebroids import (
     pairing,
     schouten_bracket,
     schouten_oracle,
+    verify_axioms,
     wedge,
     anchor_push,
 )
+from algebroids import algebroid as alg_module, calculus as cal_module
 from algebroids.expr import Expr
 
 from util import (
     broken_jacobi,
     d_operator,
+    derived_bracket_structure,
+    dense_axioms,
     dense_d,
     dense_lie_form,
     dense_lie_multivector,
@@ -354,22 +358,27 @@ def random_tables(rng, chart, rank):
 
 
 D_FIXTURES = verified_fixtures() + [("broken-jacobi", broken_jacobi())]
+# A named fixture, or (rank, chart size) for random tables of rank 0-5 over charts of size 0-3.
+SOURCES = st.one_of(st.sampled_from(D_FIXTURES), st.tuples(st.integers(0, 5), st.integers(0, 3)))
+
+
+def source_algebroid(rng, source):
+    if isinstance(source[1], Algebroid):
+        return source[1]
+    rank, n = source
+    chart = tuple(f"x{i + 1}" for i in range(n))
+    return new_algebroid(chart, rank, *random_tables(rng, chart, rank))
 
 
 @settings(max_examples=200, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    source=st.one_of(st.sampled_from(D_FIXTURES), st.tuples(st.integers(0, 5), st.integers(0, 3))),
+    source=SOURCES,
     foreign=st.booleans(),
 )
 def test_d_matches_dense_reference(seed, source, foreign):
     rng = random.Random(seed)
-    if isinstance(source[1], Algebroid):
-        A = source[1]
-    else:
-        rank, n = source
-        chart = tuple(f"x{i + 1}" for i in range(n))
-        A = new_algebroid(chart, rank, *random_tables(rng, chart, rank))
+    A = source_algebroid(rng, source)
     # delta_reconstruct differentiates forms built over a same-shape scaffold
     over = new_algebroid(A.chart, A.rank, *random_tables(rng, A.chart, A.rank)) if foreign else A
     eta = random_mixed(rng, over, FORM)
@@ -379,22 +388,40 @@ def test_d_matches_dense_reference(seed, source, foreign):
 @settings(max_examples=200, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    source=st.one_of(st.sampled_from(D_FIXTURES), st.tuples(st.integers(0, 5), st.integers(0, 3))),
+    source=SOURCES,
     zero_section=st.booleans(),
 )
 def test_lie_derivatives_match_dense_reference(seed, source, zero_section):
     rng = random.Random(seed)
-    if isinstance(source[1], Algebroid):
-        A = source[1]
-    else:
-        rank, n = source
-        chart = tuple(f"x{i + 1}" for i in range(n))
-        A = new_algebroid(chart, rank, *random_tables(rng, chart, rank))
+    A = source_algebroid(rng, source)
     V = GradedElement.zero(A, MULTIVECTOR) if zero_section else random_multivector(rng, A, 1)
     eta = random_mixed(rng, A, FORM)
     P = random_mixed(rng, A, MULTIVECTOR)
     assert lie_derivative_form(A, V, eta) == dense_lie_form(A, V, eta)
     assert lie_derivative_multivector(A, V, P) == dense_lie_multivector(A, V, P)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), source=SOURCES)
+def test_verify_axioms_matches_dense_reference(seed, source):
+    rng = random.Random(seed)
+    A = source_algebroid(rng, source)
+    anchor, jacobi = dense_axioms(A)
+    report = verify_axioms(A)
+    assert report.anchor_residuals == anchor
+    assert report.jacobi_residuals == jacobi
+    assert report.passed == (not anchor and not jacobi)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), source=SOURCES)
+def test_derived_bracket_reads_structure(seed, source):
+    # delta_reconstruct reads C^c_ab = -(delta e^c)_ab; the derived bracket
+    # [[i(e_a), d], i(e_b)] e^c recovers the same table, axioms or not.
+    rng = random.Random(seed)
+    A = source_algebroid(rng, source)
+    structure = {ab: dict(table) for ab, table in A.structure.items()}
+    assert derived_bracket_structure(A.chart, A.rank, d_operator(A)) == structure
 
 
 def so_n_constants(n):
@@ -453,6 +480,34 @@ def test_lie_multivector_work_follows_input(monkeypatch):
     assert len(calls) == 15
     monkeypatch.undo()
     assert result == schouten_bracket(A, V, P)
+
+
+def test_axiom_work_follows_generators(monkeypatch):
+    A = construct_lie_algebra(15, so_n_constants(6))
+    calls = []
+
+    def counting(name, original):
+        def wrapper(*args):
+            calls.append(name)
+            return original(*args)
+
+        return wrapper
+
+    for module, name in (
+        (alg_module, "bracket_sections"),
+        (cal_module, "interior_product"),
+        (cal_module, "exterior_derivative"),
+    ):
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    assert verify_axioms(A).passed
+    assert calls.count("bracket_sections") == 0
+    assert calls.count("exterior_derivative") == 2 * 15
+    calls.clear()
+    assert delta_reconstruct(A.chart, A.rank, d_operator(A)) == A
+    assert calls.count("interior_product") == 0
+    calls.clear()
+    assert verify_axioms(construct_lie_algebra(64)).passed
+    assert calls.count("bracket_sections") == 0
 
 
 def test_d_requires_form():

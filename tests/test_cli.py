@@ -228,6 +228,11 @@ def test_rank_above_bound_exits_2(tmp_path, capsys):
 DEEP_MODEL = '[poisson]\nbase = [ "x1", "x2" ]\nL[1][2] = "' + "(" * 1000 + "x1" + ")" * 1000 + '"\n'
 
 
+def power_model(text):
+    """A Poisson model whose one entry is a power past expr's size budget."""
+    return f'[poisson]\nbase = [ "x1", "x2" ]\nL[1][2] = "{text}"\n'
+
+
 @pytest.mark.parametrize("name,command", [("xi1", "dual"), ("zeta1", "dual-verify")])
 def test_fiber_name_clash_exits_2(tmp_path, capsys, name, command):
     assert main([command, "--model", write_model(tmp_path, clash_model(name))]) == 2
@@ -345,9 +350,9 @@ def invocations(draw):
 @example(text=clash_model("xi1"), invocation=["dual"])
 @example(text=clash_model("zeta1"), invocation=["dual-verify"])
 @example(text=DEEP_MODEL, invocation=["poisson-check"])
+@example(text=power_model("7^300000000"), invocation=["poisson-check"])
+@example(text=power_model("(x1+x2+1)^3000"), invocation=["poisson-check"])
 def test_exit_code_contract(text, invocation):
-    # Exponents in the pool stay small: unbounded powers are a separate,
-    # known runaway that this test does not cover.
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as work:
         path = Path(work) / "model.alg"

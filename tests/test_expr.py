@@ -6,6 +6,8 @@ from hypothesis import given, strategies as st
 
 from algebroids.expr import (
     MAX_NESTING,
+    MAX_POWER_BITS,
+    MAX_POWER_TERMS,
     Expr,
     ParseError,
     parse,
@@ -25,6 +27,22 @@ def test_parse_nesting_bound():
     assert parse(at_bound, CHART) == Expr.var("x1")
     with pytest.raises(ParseError, match="nested deeper"):
         parse("(" + at_bound + ")", CHART)
+
+
+def test_power_size_budget():
+    # A t-term base to the n is bounded by C(n + t - 1, t - 1) terms and
+    # n * (b + log2 t) coefficient bits; both sides stay small to compute.
+    assert (MAX_POWER_TERMS, MAX_POWER_BITS) == (1000, 1000)
+    wide = " + ".join(["1"] + [f"x1^{e}" for e in range(1, 44)])
+    assert len(parse(f"({wide})^2", CHART).items()) == 87  # 44 terms: at most 990
+    assert parse("x1^1000", CHART) == Expr._make({(("x1", 1000),): Fraction(1)})  # 1000 bits
+    assert len(parse("(x1+x2+1)^20", CHART).items()) == 231
+    with pytest.raises(ParseError, match="size budget"):
+        parse(f"({wide} + x1^44)^2", CHART)  # 45 terms: at most 1035
+    with pytest.raises(ParseError, match=r"size budget \(at position 3\)"):
+        parse("x1^1001", CHART)
+    with pytest.raises(ValueError, match="size budget"):
+        Expr.const(7) ** 300000000
 
 
 def test_parse_merges_exponents():

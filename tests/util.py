@@ -18,6 +18,8 @@ from algebroids import (
     construct_tangent,
     cotangent_algebroid,
     exterior_derivative,
+    interior_product,
+    new_algebroid,
     new_poisson,
     pairing,
     verify_axioms,
@@ -255,3 +257,74 @@ def dense_lie_multivector(algebroid, V, P):
             total = algebroid.apply_anchor_section(vcoeffs, value) if value else ZERO
             _accumulate(out, p, I, total - correction)
     return GradedElement(algebroid, MULTIVECTOR, out)
+
+
+def dense_axioms(algebroid):
+    """Nonzero anchor and Jacobi residuals from the brackets of basis
+    sections: the anchor condition componentwise on every pair, and the
+    Jacobiator of every triple through six bracket_sections calls.
+
+    The dense reference for the library's verify_axioms, which reads the same
+    residuals off d d on generators.
+    """
+    k = algebroid.rank
+    chart = algebroid.chart
+    n = len(chart)
+    anchor, jacobi = {}, {}
+
+    for a, b in combinations(range(1, k + 1), 2):
+        residual = []
+        table = algebroid.bracket_table(a, b)
+        for i in range(1, n + 1):
+            lhs = ZERO
+            for c, cab in table.items():
+                lhs = lhs + cab * algebroid.anchor_entry(c, i)
+            rhs = ZERO
+            for j, name in enumerate(chart, start=1):
+                rhs = rhs + algebroid.anchor_entry(a, j) * algebroid.anchor_entry(b, i).diff(name)
+                rhs = rhs - algebroid.anchor_entry(b, j) * algebroid.anchor_entry(a, i).diff(name)
+            residual.append(lhs - rhs)
+        if any(residual):
+            anchor[(a, b)] = tuple(residual)
+
+    basis = [GradedElement(algebroid, MULTIVECTOR, {1: {(a,): ONE}}) for a in range(1, k + 1)]
+    for a, b, c in combinations(range(1, k + 1), 3):
+        ea, eb, ec = basis[a - 1], basis[b - 1], basis[c - 1]
+        total = bracket_sections(algebroid, bracket_sections(algebroid, ea, eb), ec)
+        total = total + bracket_sections(algebroid, bracket_sections(algebroid, eb, ec), ea)
+        total = total + bracket_sections(algebroid, bracket_sections(algebroid, ec, ea), eb)
+        if not total.is_zero():
+            jacobi[(a, b, c)] = total
+    return anchor, jacobi
+
+
+def derived_bracket_structure(chart, rank, delta):
+    """Structure functions of a degree-1 derivation of forms as the derived
+    bracket: C^c_ab is the scalar [[i(e_a), delta], i(e_b)] e^c, for a < b.
+
+    The reference for delta_reconstruct, which reads C^c_ab = -(delta e^c)_ab
+    directly; returns the sparse {(a, b): {c: Expr}} table.
+    """
+    scaffold = new_algebroid(chart, rank)
+    duals = [GradedElement(scaffold, FORM, {1: {(a,): ONE}}) for a in range(1, rank + 1)]
+    vectors = [GradedElement(scaffold, MULTIVECTOR, {1: {(a,): ONE}}) for a in range(1, rank + 1)]
+    structure = {}
+    for a in range(1, rank + 1):
+        ea = vectors[a - 1]
+
+        def commuted(eta):
+            return interior_product(ea, delta(eta)) + delta(interior_product(ea, eta))
+
+        for b in range(a + 1, rank + 1):
+            eb = vectors[b - 1]
+            entries = {}
+            for c in range(1, rank + 1):
+                value_form = commuted(interior_product(eb, duals[c - 1])) - interior_product(
+                    eb, commuted(duals[c - 1])
+                )
+                value = value_form.scalar_part()
+                if value:
+                    entries[c] = value
+            if entries:
+                structure[(a, b)] = entries
+    return structure
