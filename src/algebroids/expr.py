@@ -20,9 +20,9 @@ from fractions import Fraction
 
 NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
-# Size budget of a power, checked before any multiplication: a t-term base to
-# the n has at most C(n + t - 1, t - 1) terms, and its coefficients at most
-# n * (b + log2 t) bits, b the largest numerator or denominator bit length.
+# Size budget of a power p^n (n > 1) of a t-term p, checked in integers before multiplying:
+# at most C(n + t - 1, t - 1) terms and n * (b + ceil(log2 t)) coefficient bits, b being
+# ceil(log2) of p's largest numerator or denominator, so a monomial with coefficient +-1 counts 0 bits.
 MAX_POWER_TERMS = 1000
 MAX_POWER_BITS = 1000
 # Parentheses nest at most this deep, safely below the interpreter's recursion limit.
@@ -198,11 +198,11 @@ class Expr:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError(f"exponent must be a nonnegative integer, got {n!r}")
-        t = len(self._terms)
-        b = max((max(c.numerator.bit_length(), c.denominator.bit_length()) for c in self._terms.values()), default=0)
-        terms = math.comb(n + t - 1, t - 1) if t else 1
-        if terms > MAX_POWER_TERMS or n * (b + math.log2(t or 1)) > MAX_POWER_BITS:
-            raise ValueError(f"power {n} of a {t}-term polynomial exceeds the size budget")
+        if n > 1 and self._terms:
+            t = len(self._terms)
+            b = max((max(abs(c.numerator), c.denominator) - 1).bit_length() for c in self._terms.values())
+            if n * (b + (t - 1).bit_length()) > MAX_POWER_BITS or math.comb(n + t - 1, t - 1) > MAX_POWER_TERMS:
+                raise ValueError(f"power {n} of a {t}-term polynomial exceeds the size budget")
         result = Expr.const(1)
         base = self
         while n:

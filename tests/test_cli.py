@@ -229,8 +229,16 @@ DEEP_MODEL = '[poisson]\nbase = [ "x1", "x2" ]\nL[1][2] = "' + "(" * 1000 + "x1"
 
 
 def power_model(text):
-    """A Poisson model whose one entry is a power past expr's size budget."""
+    """A Poisson model whose one entry L[1][2] is the given polynomial text."""
     return f'[poisson]\nbase = [ "x1", "x2" ]\nL[1][2] = "{text}"\n'
+
+
+def test_monomial_power_in_anchor_passes_dual_verify(tmp_path, capsys):
+    # dual-verify substitutes into the anchor, which raises x1 to the 1001 again;
+    # a monomial with coefficient 1 is inside the power budget at any exponent.
+    model = write_model(tmp_path, '[algebroid]\nbase = [ "x1" ]\nrank = 1\nanchor[1][1] = "x1^1000*x1"\n')
+    assert main(["dual-verify", "--model", model]) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("name,command", [("xi1", "dual"), ("zeta1", "dual-verify")])
@@ -352,6 +360,8 @@ def invocations(draw):
 @example(text=DEEP_MODEL, invocation=["poisson-check"])
 @example(text=power_model("7^300000000"), invocation=["poisson-check"])
 @example(text=power_model("(x1+x2+1)^3000"), invocation=["poisson-check"])
+@example(text=power_model("x1^" + "9" * 400), invocation=["poisson-check"])
+@example(text=power_model("2^" + "9" * 400), invocation=["poisson-check"])
 def test_exit_code_contract(text, invocation):
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as work:

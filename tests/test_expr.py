@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from algebroids.expr import (
     MAX_NESTING,
     MAX_POWER_BITS,
-    MAX_POWER_TERMS,
     Expr,
     ParseError,
     parse,
@@ -30,19 +29,28 @@ def test_parse_nesting_bound():
 
 
 def test_power_size_budget():
-    # A t-term base to the n is bounded by C(n + t - 1, t - 1) terms and
-    # n * (b + log2 t) coefficient bits; both sides stay small to compute.
-    assert (MAX_POWER_TERMS, MAX_POWER_BITS) == (1000, 1000)
+    # The estimate bounds C(n + t - 1, t - 1) terms and n * (b + ceil(log2 t))
+    # coefficient bits; no case computes a power past the budget.
     wide = " + ".join(["1"] + [f"x1^{e}" for e in range(1, 44)])
-    assert len(parse(f"({wide})^2", CHART).items()) == 87  # 44 terms: at most 990
-    assert parse("x1^1000", CHART) == Expr._make({(("x1", 1000),): Fraction(1)})  # 1000 bits
-    assert len(parse("(x1+x2+1)^20", CHART).items()) == 231
+    assert len(parse(f"({wide})^2", CHART).items()) == 87  # 44 terms: C(45, 43) = 990
     with pytest.raises(ParseError, match="size budget"):
-        parse(f"({wide} + x1^44)^2", CHART)  # 45 terms: at most 1035
-    with pytest.raises(ParseError, match=r"size budget \(at position 3\)"):
-        parse("x1^1001", CHART)
+        parse(f"({wide} + x1^44)^2", CHART)  # 45 terms: C(46, 44) = 1035
+    assert parse(f"2^{MAX_POWER_BITS}", CHART) == Expr.const(2**MAX_POWER_BITS)
+    with pytest.raises(ParseError, match=r"size budget \(at position 2\)"):
+        parse(f"2^{MAX_POWER_BITS + 1}", CHART)
+    assert len(parse("(x1+x2+1)^20", CHART).items()) == 231
     with pytest.raises(ValueError, match="size budget"):
         Expr.const(7) ** 300000000
+
+
+def test_power_budget_spares_powers_that_cannot_grow():
+    # A coefficient of +-1 counts 0 bits, and p^0, p^1 and 0^n are never refused.
+    huge = 10**400
+    assert parse(f"(-x1)^{huge}", CHART) == Expr._make({(("x1", huge),): Fraction(1)})
+    assert parse(f"0^{huge}", CHART).is_zero()
+    big = Expr.const(Fraction(7) ** 600) + sum((Expr.var("x1") ** e for e in range(1, 1001)), Expr.const(0))
+    assert big ** 1 == big and big ** 0 == Expr.const(1)
+    assert parse("x1^1000*x1", CHART).subs({"x2": Expr.var("x3")}) == Expr.var("x1") ** 1001
 
 
 def test_parse_merges_exponents():
