@@ -5,7 +5,8 @@ chart generators: base coordinates commute, a fiber coordinate brackets a
 base coordinate into the matching anchor component, and two fiber
 coordinates bracket into the structure-function combination of fibers. The
 bivector table here is derived from those conditions and then validated by
-recomputing every generator bracket, rather than trusted.
+comparing every generator bracket, which for two coordinates is the entry
+Lambda^{uv}, with its definition, rather than trusted.
 
 The two classical checks live here too: the Liouville-field homogeneity
 residual and the Poisson-map property of the transposed anchor into the
@@ -101,25 +102,23 @@ def dual_poisson(algebroid, fiber_prefix="xi", force=False):
     bivector = _cal.GradedElement(tangent, _cal.MULTIVECTOR, {2: entries} if entries else {})
     ps = DualPoissonStructure(chart, bivector, verified=False)
 
-    # The table above is derived, not normative: re-derive every generator
-    # bracket through poisson_bracket and compare against the definition.
-    base_exprs = [Expr.var(name) for name in algebroid.chart]
-    fiber_exprs = [Expr.var(name) for name in fiber]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if _poi.poisson_bracket(ps, base_exprs[i], base_exprs[j]):
+    # The table above is derived, not normative: re-check every generator
+    # bracket against the definition. The bracket of coordinates u, v is Lambda^{uv}.
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            if ps.entry(i, j):
                 raise RuntimeError("dual_poisson: base coordinates fail to commute")
-    for a in range(algebroid.rank):
-        for i in range(n):
-            got = _poi.poisson_bracket(ps, fiber_exprs[a], base_exprs[i])
-            if got != algebroid.anchor_entry(a + 1, i + 1):
+    for a in range(1, algebroid.rank + 1):
+        for i in range(1, n + 1):
+            if ps.entry(n + a, i) != algebroid.anchor_entry(a, i):
                 raise RuntimeError("dual_poisson: fiber-base generator bracket disagrees with the anchor")
+    fiber_exprs = [Expr.var(name) for name in fiber]
     for a in range(1, algebroid.rank + 1):
         for b in range(a + 1, algebroid.rank + 1):
             expected = ZERO
             for c, value in algebroid.bracket_table(a, b).items():
                 expected = expected + value * fiber_exprs[c - 1]
-            if _poi.poisson_bracket(ps, fiber_exprs[a - 1], fiber_exprs[b - 1]) != expected:
+            if ps.entry(n + a, n + b) != expected:
                 raise RuntimeError("dual_poisson: fiber-fiber generator bracket disagrees with the structure table")
 
     report = ps.verify()
@@ -145,17 +144,22 @@ def phi_function(ps, section):
 def homogeneity_check(ps):
     """Residual of fiberwise linearity: [Z, Lambda] + Lambda for the
     fiber-scaling field Z = sum_a xi_a d/dxi_a. Zero iff the bivector is
-    homogeneous of the right weight."""
+    homogeneous of the right weight. A weight count, with no bracket: since
+    [Z, d/dxi_a] = -d/dxi_a, it multiplies each monomial m of the coefficient
+    on e_I by deg_xi(m) + 1 - sum_{t in I} w_t (w_t = 1 on fiber slots, else 0).
+    """
     if not isinstance(ps, DualPoissonStructure):
         raise ValueError("homogeneity_check: expected a dual-bundle Poisson structure")
-    tangent = ps.bivector.algebroid
     n = len(ps.dual_chart.base)
-    liouville = _cal.GradedElement(
-        tangent,
-        _cal.MULTIVECTOR,
-        {1: {(n + a,): Expr.var(name) for a, name in enumerate(ps.dual_chart.fiber, start=1)}},
-    )
-    return _cal.schouten_bracket(tangent, liouville, ps.bivector) + ps.bivector
+    fiber = set(ps.dual_chart.fiber)
+    out = {}
+    for degree, table in ps.bivector.components.items():
+        for index, value in table.items():
+            shift = 1 - sum(t > n for t in index)
+            out.setdefault(degree, {})[index] = Expr(
+                {m: c * (sum(e for name, e in m if name in fiber) + shift) for m, c in value.items()}
+            )
+    return _cal.GradedElement(ps.bivector.algebroid, _cal.MULTIVECTOR, out)
 
 
 def transpose_anchor_check(algebroid, ps):

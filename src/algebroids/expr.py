@@ -23,6 +23,7 @@ NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 # Size budget of a power p^n (n > 1) of a t-term p, checked in integers before multiplying:
 # at most C(n + t - 1, t - 1) terms and n * (b + ceil(log2 t)) coefficient bits, b being
 # ceil(log2) of p's largest numerator or denominator, so a monomial with coefficient +-1 counts 0 bits.
+# A parsed product pairs at most MAX_POWER_TERMS**2 terms of one factor with terms of the other.
 MAX_POWER_TERMS = 1000
 MAX_POWER_BITS = 1000
 # Parentheses nest at most this deep, safely below the interpreter's recursion limit.
@@ -350,11 +351,15 @@ class _Tokenizer:
             if ch.isspace():
                 i += 1
                 continue
-            if ch.isdigit():
+            if "0" <= ch <= "9":
                 j = i
-                while j < len(text) and text[j].isdigit():
+                while j < len(text) and "0" <= text[j] <= "9":
                     j += 1
-                self.tokens.append(("NAT", int(text[i:j]), i))
+                try:
+                    value = int(text[i:j])
+                except ValueError:
+                    raise ParseError(f"numeral of {j - i} digits is too long", i) from None
+                self.tokens.append(("NAT", value, i))
                 i = j
                 continue
             if ch.isalpha():
@@ -423,8 +428,12 @@ class _Parser:
 
     def parse_term(self):
         value = self.parse_factor()
-        while self.accept("STAR"):
-            value = value * self.parse_factor()
+        while star := self.accept("STAR"):
+            factor = self.parse_factor()
+            t1, t2 = len(value.items()), len(factor.items())
+            if t1 * t2 > MAX_POWER_TERMS**2:
+                raise ParseError(f"product of {t1} and {t2} terms exceeds the size budget", star[2])
+            value = value * factor
         return value
 
     def parse_factor(self):

@@ -94,7 +94,13 @@ def _bivector_of(value):
 
 
 def is_poisson(value):
-    """Jacobi check: residual is the Schouten square of the bivector.
+    """Jacobi check: the residual is the Schouten square of the bivector,
+    [Lambda, Lambda]^{abc} = -2 sum_cyc sum_l Lambda^{la} d_l Lambda^{bc}
+    (twice the Jacobiator of the coordinate brackets), equal to
+    schouten_bracket(tangent, Lambda, Lambda). It is scattered from the
+    nonzero entries: each -2 d_l Lambda^{bc} (b < c) meets row l's entries
+    Lambda^{la}, a not in {b, c}, and lands on the sorted triple with the sign
+    of (a, b, c) -> sorted, negative exactly when b < a < c.
 
     Accepts a pure degree-2 multivector over a tangent algebroid, or a
     PoissonStructure (whose verified flag is then updated).
@@ -106,7 +112,22 @@ def is_poisson(value):
         raise ValueError(f"is_poisson: expected pure degree 2, found degrees {lam.degrees()}")
     if not _alg.is_tangent(lam.algebroid):
         raise ValueError("is_poisson: the bivector must live over a tangent algebroid")
-    residual = _cal.schouten_bracket(lam.algebroid, lam, lam)
+    table = lam.components.get(2, {})
+    rows = {}
+    for (i, j), entry in table.items():
+        rows.setdefault(i, {})[j] = entry
+        rows.setdefault(j, {})[i] = -entry
+    out = {}
+    for (b, c), entry in table.items():
+        names = entry.variables()
+        for l, name in enumerate(lam.algebroid.chart, start=1):
+            if l in rows and name in names:
+                derivative = entry.diff(name) * -2
+                for a, row_entry in rows[l].items():
+                    if a not in (b, c):
+                        term = row_entry * derivative
+                        _cal._accumulate(out, 3, tuple(sorted((a, b, c))), -term if b < a < c else term)
+    residual = _cal.GradedElement(lam.algebroid, _cal.MULTIVECTOR, out)
     report = PoissonReport(residual=residual, passed=residual.is_zero())
     if ps is not None:
         ps.verified = report.passed

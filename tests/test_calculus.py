@@ -48,6 +48,7 @@ from util import (
     random_poly,
     random_section,
     so3,
+    so_n_constants,
     verified_fixtures,
 )
 
@@ -422,23 +423,6 @@ def test_derived_bracket_reads_structure(seed, source):
     A = source_algebroid(rng, source)
     structure = {ab: dict(table) for ab, table in A.structure.items()}
     assert derived_bracket_structure(A.chart, A.rank, d_operator(A)) == structure
-
-
-def so_n_constants(n):
-    """Structure constants of so(n) on the basis E_ij = e_i e_j^T - e_j e_i^T
-    (i < j), from [E_ij, E_kl] = d_jk E_il - d_jl E_ik - d_ik E_jl + d_il E_jk."""
-    pairs = list(combinations(range(1, n + 1), 2))
-    index = {pair: a for a, pair in enumerate(pairs, start=1)}
-    constants = {}
-    for (a, (i, j)), (b, (k, l)) in combinations(enumerate(pairs, start=1), 2):
-        table = {}
-        terms = ((j, k, i, l, 1), (j, l, i, k, -1), (i, k, j, l, -1), (i, l, j, k, 1))
-        for s, t, u, v, sign in terms:
-            if s == t and u != v:
-                c, sign = (index[(u, v)], sign) if u < v else (index[(v, u)], -sign)
-                table[c] = table.get(c, 0) + sign
-        constants[(a, b)] = {c: v for c, v in table.items() if v}
-    return constants
 
 
 def test_d_work_follows_input_terms(monkeypatch):

@@ -362,6 +362,8 @@ def invocations(draw):
 @example(text=power_model("(x1+x2+1)^3000"), invocation=["poisson-check"])
 @example(text=power_model("x1^" + "9" * 400), invocation=["poisson-check"])
 @example(text=power_model("2^" + "9" * 400), invocation=["poisson-check"])
+@example(text=power_model("x1^²"), invocation=["poisson-check"])
+@example(text=power_model("x1^" + "9" * 5000), invocation=["poisson-check"])
 def test_exit_code_contract(text, invocation):
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as work:

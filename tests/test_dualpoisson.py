@@ -2,8 +2,10 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from algebroids import (
     MULTIVECTOR,
@@ -21,10 +23,21 @@ from algebroids import (
     transpose_anchor_check,
     verify_axioms,
 )
+from algebroids import calculus as cal_module, poisson as poi_module
 from algebroids.expr import Expr
 
 import util
-from util import broken_jacobi, heisenberg, random_poly, random_section, so3, verified_fixtures
+from util import (
+    broken_jacobi,
+    heisenberg,
+    liouville_homogeneity,
+    random_mixed,
+    random_poly,
+    random_section,
+    so3,
+    so_n_constants,
+    verified_fixtures,
+)
 
 ZERO = Expr.const(0)
 ONE = Expr.const(1)
@@ -157,6 +170,61 @@ def test_homogeneity_detects_constant_fiber_term():
     assert residual == GradedElement(
         ps.bivector.algebroid, MULTIVECTOR, {2: {(1, 2): -ONE}}
     )
+
+
+DUAL_FIXTURES = {name: dual_poisson(A) for name, A in verified_fixtures()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    source=st.one_of(st.sampled_from(sorted(DUAL_FIXTURES)), st.tuples(st.integers(0, 2), st.integers(1, 3))),
+)
+def test_homogeneity_matches_liouville_bracket(seed, source):
+    # homogeneity_check counts weights; the oracle brackets with the Liouville
+    # field. Random elements over a dual chart are mostly not homogeneous.
+    rng = random.Random(seed)
+    if isinstance(source, str):
+        ps = DUAL_FIXTURES[source]
+    else:
+        base, fiber = source
+        chart = DualChart(tuple(f"x{i}" for i in range(1, base + 1)), tuple(f"xi{a}" for a in range(1, fiber + 1)))
+        tangent = construct_tangent(len(chart.names), chart.names)
+        if rng.random() < 0.5:
+            bivector = random_mixed(rng, tangent, MULTIVECTOR)
+        else:
+            table = {}
+            for i, j in combinations(range(1, base + fiber + 1), 2):
+                if rng.random() < 0.8:
+                    table[(i, j)] = random_poly(rng, chart.names, rng.randint(0, 3), rng.randint(1, 3))
+            bivector = GradedElement(tangent, MULTIVECTOR, {2: table})
+        ps = DualPoissonStructure(chart, bivector)
+    assert homogeneity_check(ps) == liouville_homogeneity(ps)
+
+
+def test_dual_work_follows_entries(monkeypatch):
+    # Extracting the square with schouten_bracket and re-deriving the generator
+    # brackets with poisson_bracket would take 1 schouten_bracket, 2,730
+    # interior_product and 105 poisson_bracket calls here; both read the
+    # bivector's entries instead.
+    A = construct_lie_algebra(15, so_n_constants(6))
+    calls = []
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(cal_module, "schouten_bracket")
+    counting(cal_module, "interior_product")
+    counting(poi_module, "poisson_bracket")
+    ps = dual_poisson(A)
+    assert ps.verified and calls == []
+    assert homogeneity_check(ps).is_zero() and calls == []
 
 
 def test_homogeneity_rejects_plain_structures():

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from algebroids import expr as expr_module
 from algebroids.expr import (
     MAX_NESTING,
     MAX_POWER_BITS,
@@ -41,6 +42,17 @@ def test_power_size_budget():
     assert len(parse("(x1+x2+1)^20", CHART).items()) == 231
     with pytest.raises(ValueError, match="size budget"):
         Expr.const(7) ** 300000000
+
+
+def test_product_size_budget(monkeypatch):
+    # A product may pair at most MAX_POWER_TERMS**2 terms; the bound is set small here.
+    monkeypatch.setattr(expr_module, "MAX_POWER_TERMS", 10)
+    ten = " + ".join(f"x1^{e}" for e in range(1, 11))
+    assert len(parse(f"({ten})*({ten.replace('x1', 'x2')})", CHART).items()) == 100
+    hundred_one = "(" + " + ".join(["1"] + [f"x1^{e}" for e in range(1, 101)]) + ")"
+    star = len(hundred_one)
+    with pytest.raises(ParseError, match=rf"product of 101 and 1 terms exceeds the size budget \(at position {star}\)"):
+        parse(f"{hundred_one}*x2", CHART)
 
 
 def test_power_budget_spares_powers_that_cannot_grow():

@@ -1,14 +1,17 @@
 """Poisson bivectors, the sharp map, and the cotangent-side calculus."""
 
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from algebroids import (
     FORM,
     MULTIVECTOR,
     GradedElement,
     cotangent_algebroid,
+    dual_poisson,
     exterior_derivative,
     is_poisson,
     koszul_bracket,
@@ -107,6 +110,36 @@ def test_is_poisson_input_validation():
         is_poisson(GradedElement.basis(T, MULTIVECTOR, (1,)))
     with pytest.raises(ValueError):
         is_poisson(GradedElement.basis(util.so3(), MULTIVECTOR, (1, 2)))
+
+
+SQUARE_FIXTURES = {
+    **dict(poisson_fixtures()),
+    "broken": poisson_broken(),
+    "dual-so3": dual_poisson(util.so3(), force=True),
+    "dual-heisenberg": dual_poisson(util.heisenberg(), force=True),
+    "dual-broken-jacobi": dual_poisson(util.broken_jacobi(), force=True),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), fixture=st.one_of(st.none(), st.sampled_from(sorted(SQUARE_FIXTURES))))
+def test_is_poisson_matches_schouten_square(seed, fixture):
+    # is_poisson scatters the square over the entries; schouten_bracket probes
+    # every basis 3-form. Random bivectors on R^3..R^5 are mostly not Poisson.
+    rng = random.Random(seed)
+    if fixture is not None:
+        ps = SQUARE_FIXTURES[fixture]
+    else:
+        chart = tuple(f"x{i}" for i in range(1, rng.randint(1, 5) + 1))
+        table = {}
+        for i, j in combinations(range(1, len(chart) + 1), 2):
+            if rng.random() < 0.8:
+                table[(i, j)] = random_poly(rng, chart, rng.randint(1, 3), rng.randint(1, 3))
+        ps = new_poisson(chart, table, verify=False)
+    expected = schouten_bracket(ps.tangent(), ps.bivector, ps.bivector)
+    report = is_poisson(ps)
+    assert report.residual == expected
+    assert report.passed == ps.verified == expected.is_zero()
 
 
 # ------------------------------------------------------------------ bracket

@@ -11,6 +11,7 @@ from itertools import combinations
 from algebroids import (
     FORM,
     MULTIVECTOR,
+    DualPoissonStructure,
     GradedElement,
     OperatorValue,
     bracket_sections,
@@ -22,6 +23,7 @@ from algebroids import (
     new_algebroid,
     new_poisson,
     pairing,
+    schouten_bracket,
     verify_axioms,
 )
 from algebroids.algebroid import _section_coeffs
@@ -328,3 +330,36 @@ def derived_bracket_structure(chart, rank, delta):
             if entries:
                 structure[(a, b)] = entries
     return structure
+
+
+def so_n_constants(n):
+    """Structure constants of so(n) on the basis E_ij = e_i e_j^T - e_j e_i^T
+    (i < j), from [E_ij, E_kl] = d_jk E_il - d_jl E_ik - d_ik E_jl + d_il E_jk."""
+    pairs = list(combinations(range(1, n + 1), 2))
+    index = {pair: a for a, pair in enumerate(pairs, start=1)}
+    constants = {}
+    for (a, (i, j)), (b, (k, l)) in combinations(enumerate(pairs, start=1), 2):
+        table = {}
+        terms = ((j, k, i, l, 1), (j, l, i, k, -1), (i, k, j, l, -1), (i, l, j, k, 1))
+        for s, t, u, v, sign in terms:
+            if s == t and u != v:
+                c, sign = (index[(u, v)], sign) if u < v else (index[(v, u)], -sign)
+                table[c] = table.get(c, 0) + sign
+        constants[(a, b)] = {c: v for c, v in table.items() if v}
+    return constants
+
+
+def liouville_homogeneity(ps):
+    """[Z, Lambda] + Lambda through the general Schouten bracket with the
+    Liouville field Z = sum_a xi_a d/dxi_a: the reference for the library's
+    homogeneity_check, which counts weights instead."""
+    if not isinstance(ps, DualPoissonStructure):
+        raise ValueError("homogeneity_check: expected a dual-bundle Poisson structure")
+    tangent = ps.bivector.algebroid
+    n = len(ps.dual_chart.base)
+    liouville = GradedElement(
+        tangent,
+        MULTIVECTOR,
+        {1: {(n + a,): Expr.var(name) for a, name in enumerate(ps.dual_chart.fiber, start=1)}},
+    )
+    return schouten_bracket(tangent, liouville, ps.bivector) + ps.bivector
