@@ -207,30 +207,17 @@ def bracket_sections(algebroid, s1, s2):
     g = _section_coeffs(s2)
 
     out = {}
-
-    def add(c, value):
-        if not value:
-            return
-        acc = out.get(c, ZERO) + value
-        if acc:
-            out[c] = acc
-        else:
-            del out[c]
-
     for a, fa in f.items():
         for b, gb in g.items():
             for c, cab in algebroid.bracket_table(a, b).items():
-                add(c, fa * gb * cab)
+                calculus._accumulate(out, 1, (c,), fa * gb * cab)
     for c, gc in g.items():
         for a, fa in f.items():
-            add(c, fa * algebroid.apply_anchor(a, gc))
+            calculus._accumulate(out, 1, (c,), fa * algebroid.apply_anchor(a, gc))
     for c, fc in f.items():
         for b, gb in g.items():
-            add(c, -(gb * algebroid.apply_anchor(b, fc)))
-
-    return calculus.GradedElement(
-        algebroid, calculus.MULTIVECTOR, {1: {(c,): v for c, v in out.items()}}
-    )
+            calculus._accumulate(out, 1, (c,), -(gb * algebroid.apply_anchor(b, fc)))
+    return calculus.GradedElement(algebroid, calculus.MULTIVECTOR, out)
 
 
 def anchor_push(algebroid, P):

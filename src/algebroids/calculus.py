@@ -10,7 +10,9 @@ The exterior derivative and both Lie derivatives are derivations of the wedge
 algebra, fixed by their values on functions and basis elements: d f = sum_a
 rho(e_a)f e^a, d e^c = -sum_{a<b} C^c_ab e^a ∧ e^b; L_V f = rho(V)f,
 L_V e_b = {V, e_b}, L_V e^c = -sum_b <e^c, {V, e_b}> e^b. One scatter,
-_derive, applies each from the nonzero terms of its input.
+_derive, applies each from the nonzero terms of its input. The wedge, the
+interior product and the pairing are bilinear, fixed by a rule on basis index
+pairs; one loop over term pairs, _scatter_pairs, serves all three.
 
 Two independent implementations of the Schouten bracket live here on purpose.
 schouten_bracket extracts coefficients by applying the graded commutator
@@ -213,22 +215,41 @@ def _merge_indices(I, J):
     return (inversions & 1, tuple(out))
 
 
+def _contract_indices(J, K):
+    """i(e_J) on e^K: None unless J ⊆ K, else (sign parity, K minus J). The
+    parity is that of the summed 0-based positions of J's entries in K: the
+    innermost factor, J's largest, goes first and never shifts a later one."""
+    parity = 0
+    for a in J:
+        if a not in K:
+            return None
+        parity ^= K.index(a)
+    return parity & 1, tuple([a for a in K if a not in J])
+
+
+def _scatter_pairs(x, y, combine, like):
+    """The bilinear product fixed on basis terms by `combine`: for each term
+    pair (f e_I of x, g e_J of y), combine(I, J) is None (no term) or
+    (parity, K), which adds (-1)^parity f g on e_K. The result lives where `like` does."""
+    out = {}
+    for tx in x.components.values():
+        for ty in y.components.values():
+            for I, f in tx.items():
+                for J, g in ty.items():
+                    hit = combine(I, J)
+                    if hit is None:
+                        continue
+                    parity, K = hit
+                    term = f * g
+                    _accumulate(out, len(K), K, -term if parity else term)
+    return GradedElement(like.algebroid, like.variance, out)
+
+
 def wedge(P, Q):
     """Exterior product under the shuffle convention. Degree-0 factors
     multiply coefficients; on basis monomials e_I ∧ e_J is the signed merge."""
     _require_compatible(P, Q, "wedge")
-    out = {}
-    for p, tp in P.components.items():
-        for q, tq in Q.components.items():
-            for I, f in tp.items():
-                for J, g in tq.items():
-                    merged = _merge_indices(I, J)
-                    if merged is None:
-                        continue
-                    parity, K = merged
-                    term = f * g
-                    _accumulate(out, p + q, K, -term if parity else term)
-    return GradedElement(P.algebroid, P.variance, out)
+    return _scatter_pairs(P, Q, _merge_indices, P)
 
 
 def _wedge_push(element, target, rows):
@@ -240,51 +261,26 @@ def _wedge_push(element, target, rows):
         for row in rows
     ]
     total = GradedElement(target, MULTIVECTOR, {})
-    for degree, table in element.components.items():
-        if degree == 0:
-            total = total + GradedElement(target, MULTIVECTOR, {0: dict(table)})
-            continue
+    for table in element.components.values():
         for index, coeff in table.items():
-            term = images[index[0] - 1]
-            for a in index[1:]:
+            term = GradedElement.scalar(target, MULTIVECTOR, coeff)
+            for a in index:
                 term = wedge(term, images[a - 1])
-            total = total + term.scale(coeff)
+            total = total + term
     return total
 
 
-def _interior_basis(a, components):
-    """One contraction i(e_a) on a form's component table."""
-    out = {}
-    for degree, table in components.items():
-        if degree == 0:
-            continue
-        for index, value in table.items():
-            if a not in index:
-                continue
-            r = index.index(a)
-            reduced = index[:r] + index[r + 1 :]
-            _accumulate(out, degree - 1, reduced, -value if r & 1 else value)
-    return out
-
-
 def interior_product(P, eta):
-    """Contraction of a form by a multivector. A monomial e_{i1}∧...∧e_{ip}
-    acts as i(e_{i1})∘...∘i(e_{ip}), innermost factor applied first; a
-    degree-0 multivector multiplies."""
+    """Contraction of a form by a multivector. A monomial e_{j1}∧...∧e_{jp}
+    acts as i(e_{j1})∘...∘i(e_{jp}), innermost factor applied first; a
+    degree-0 multivector multiplies. So e_J sends e^K to zero unless J ⊆ K,
+    and otherwise to ±e^{K minus J}, the sign that of the summed 0-based
+    positions of J's entries in K."""
     _require_variance(P, MULTIVECTOR, "interior_product")
     _require_variance(eta, FORM, "interior_product")
     if not P.algebroid.same_shape(eta.algebroid):
         raise ValueError("interior_product: elements live over different charts or ranks")
-    out = {}
-    for p, tp in P.components.items():
-        for index, coeff in tp.items():
-            current = eta.components
-            for a in reversed(index):
-                current = _interior_basis(a, current)
-            for degree, table in current.items():
-                for J, value in table.items():
-                    _accumulate(out, degree, J, coeff * value)
-    return GradedElement(eta.algebroid, FORM, out)
+    return _scatter_pairs(P, eta, _contract_indices, eta)
 
 
 def pairing(eta, P):
@@ -294,16 +290,7 @@ def pairing(eta, P):
     _require_variance(P, MULTIVECTOR, "pairing")
     if not eta.algebroid.same_shape(P.algebroid):
         raise ValueError("pairing: elements live over different charts or ranks")
-    total = ZERO
-    for degree, table in eta.components.items():
-        other = P.components.get(degree)
-        if not other:
-            continue
-        for index, value in table.items():
-            pv = other.get(index)
-            if pv is not None:
-                total = total + value * pv
-    return total
+    return _scatter_pairs(eta, P, lambda I, J: (0, ()) if I == J else None, eta).scalar_part()
 
 
 def _derive(algebroid, variance, element, shift, columns, images):

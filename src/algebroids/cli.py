@@ -69,12 +69,13 @@ class _Section:
 _QUOTED_RE = re.compile(r'^"([^"]*)"$')
 _SECTION_KEYS = {
     "algebroid": (
-        ("anchor", re.compile(r"^anchor\[(\d+)\]\[(\d+)\]$")),
-        ("C", re.compile(r"^C\[(\d+)\]\[(\d+)\]\[(\d+)\]$")),
+        ("anchor", re.compile(r"^anchor\[([0-9]+)\]\[([0-9]+)\]$")),
+        ("C", re.compile(r"^C\[([0-9]+)\]\[([0-9]+)\]\[([0-9]+)\]$")),
     ),
-    "poisson": (("L", re.compile(r"^L\[(\d+)\]\[(\d+)\]$")),),
+    "poisson": (("L", re.compile(r"^L\[([0-9]+)\]\[([0-9]+)\]$")),),
 }
-_TUPLE_RE = re.compile(r"^\d+(\s*,\s*\d+)*$")
+_TUPLE_RE = re.compile(r"^[0-9]+(\s*,\s*[0-9]+)*$")
+_RANK_RE = re.compile(r"^-?[0-9]+$")
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
 
@@ -83,6 +84,14 @@ def _unquote(value, where):
     if not m:
         raise ModelError(f'{where}: expected a quoted string, got {value.strip()!r}')
     return m.group(1)
+
+
+def _number(digits, where):
+    """An index or rank in ASCII digits; one past Python's limit on int from text is a ModelError."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ModelError(f"{where}: a number of {len(digits.strip())} digits is too long") from None
 
 
 def _parse_base_list(value, where):
@@ -142,7 +151,7 @@ def parse_model(text, source="<model>"):
             if key == "scalar":
                 index = ()
             elif _TUPLE_RE.match(key):
-                index = tuple(int(t) for t in key.split(","))
+                index = tuple(_number(t, where) for t in key.split(","))
             else:
                 raise ModelError(f"{where}: bad element index {key!r}")
             if index in current.entries:
@@ -151,17 +160,16 @@ def parse_model(text, source="<model>"):
         elif key == "base":
             current.base = _parse_base_list(value, f"{where}: base")
         elif key == "rank" and current.header == "algebroid":
-            try:
-                current.rank = int(value)
-            except ValueError:
-                raise ModelError(f"{where}: rank must be an integer, got {value!r}") from None
+            if not _RANK_RE.match(value):
+                raise ModelError(f"{where}: rank must be an integer, got {value!r}")
+            current.rank = _number(value, where)
         else:
             for kind, pattern in _SECTION_KEYS[current.header]:
                 if m := pattern.match(key):
                     break
             else:
                 raise ModelError(f"{where}: unknown key {key!r} in [{current.header}]")
-            entry = (kind, *(int(g) for g in m.groups()))
+            entry = (kind, *(_number(g, where) for g in m.groups()))
             if entry in current.entries:
                 raise ModelError(f"{where}: duplicate key {key}")
             current.entries[entry] = _unquote(value, f"{where}: {key}")
@@ -376,23 +384,15 @@ def _axiom_report_lines(report, algebroid):
 
 
 def _axiom_report_json(report, algebroid):
-    anchor = {}
-    for (a, b), residual in report.anchor_residuals.items():
-        entries = {
-            algebroid.chart[i]: value.to_text(algebroid.chart)
-            for i, value in enumerate(residual)
-            if value
-        }
-        if entries:
-            anchor[f"{a},{b}"] = entries
-    jacobi = {}
-    for key, section in report.jacobi_residuals.items():
-        entries = {
-            str(index[0]): value.to_text(algebroid.chart)
-            for index, value in section.components.get(1, {}).items()
-        }
-        if entries:
-            jacobi[",".join(str(t) for t in key)] = entries
+    chart = algebroid.chart
+    anchor = {
+        _index_key(ab): {chart[i]: value.to_text(chart) for i, value in enumerate(residual) if value}
+        for ab, residual in report.anchor_residuals.items()
+    }
+    jacobi = {
+        _index_key(key): {str(c): value.to_text(chart) for (c,), value in section.components[1].items()}
+        for key, section in report.jacobi_residuals.items()
+    }
     return {"passed": report.passed, "anchor": anchor, "jacobi": jacobi}
 
 

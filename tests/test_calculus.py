@@ -36,12 +36,15 @@ from algebroids.expr import Expr
 
 from util import (
     broken_jacobi,
+    chained_interior,
+    count_calls,
     d_operator,
     derived_bracket_structure,
     dense_axioms,
     dense_d,
     dense_lie_form,
     dense_lie_multivector,
+    dense_pairing,
     random_form,
     random_mixed,
     random_multivector,
@@ -425,73 +428,63 @@ def test_derived_bracket_reads_structure(seed, source):
     assert derived_bracket_structure(A.chart, A.rank, d_operator(A)) == structure
 
 
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), source=SOURCES)
+def test_products_match_chained_references(seed, source):
+    rng = random.Random(seed)
+    A = source_algebroid(rng, source)
+    P = random_mixed(rng, A, MULTIVECTOR)
+    eta = random_mixed(rng, A, FORM)
+    assert interior_product(P, eta) == chained_interior(P, eta)
+    assert pairing(eta, P) == dense_pairing(eta, P)
+
+
+def test_interior_work_follows_subset_hits(monkeypatch):
+    # One accumulation per pair with J ⊆ K: each 2-subset lies in 4 of the
+    # 20 3-subsets of {1..6}, so 15 * 4 = 60; a per-factor chain makes 270.
+    A = construct_tangent(6)
+    bivectors = [GradedElement.basis(A, MULTIVECTOR, J) for J in combinations(range(1, 7), 2)]
+    forms = [GradedElement.basis(A, FORM, K) for K in combinations(range(1, 7), 3)]
+    calls = count_calls(monkeypatch, cal_module, "_accumulate")
+    results = [interior_product(P, eta) for P in bivectors for eta in forms]
+    assert calls["_accumulate"] == 60
+    assert sum(not r.is_zero() for r in results) == 60
+
+
 def test_d_work_follows_input_terms(monkeypatch):
     constants = so_n_constants(6)
     A = construct_lie_algebra(15, constants)
-    calls = []
-
-    def counting(name):
-        original = getattr(Algebroid, name)
-
-        def wrapper(self, *args):
-            calls.append(name)
-            return original(self, *args)
-
-        return wrapper
-
-    for name in ("bracket_table", "apply_anchor"):
-        monkeypatch.setattr(Algebroid, name, counting(name))
+    calls = count_calls(monkeypatch, Algebroid, "bracket_table", "apply_anchor")
     for c in range(1, 16):
         expected = {(a, b): -table[c] for (a, b), table in constants.items() if c in table}
         assert exterior_derivative(A, GradedElement.basis(A, FORM, (c,))) == form(A, {2: expected})
     assert exterior_derivative(A, GradedElement.scalar(A, FORM, 7)).is_zero()
-    assert calls == []
+    assert not calls
 
 
 def test_lie_multivector_work_follows_input(monkeypatch):
     A = construct_lie_algebra(15, so_n_constants(6))
-    original = bracket_sections
-    calls = []
-
-    def counting(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr("algebroids.algebroid.bracket_sections", counting)
+    calls = count_calls(monkeypatch, alg_module, "bracket_sections")
     V = GradedElement.basis(A, MULTIVECTOR, (1,))
     P = GradedElement.basis(A, MULTIVECTOR, (2, 3))
     result = lie_derivative_multivector(A, V, P)
-    assert len(calls) == 15
+    assert calls["bracket_sections"] == 15
     monkeypatch.undo()
     assert result == schouten_bracket(A, V, P)
 
 
 def test_axiom_work_follows_generators(monkeypatch):
     A = construct_lie_algebra(15, so_n_constants(6))
-    calls = []
-
-    def counting(name, original):
-        def wrapper(*args):
-            calls.append(name)
-            return original(*args)
-
-        return wrapper
-
-    for module, name in (
-        (alg_module, "bracket_sections"),
-        (cal_module, "interior_product"),
-        (cal_module, "exterior_derivative"),
-    ):
-        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    brackets = count_calls(monkeypatch, alg_module, "bracket_sections")
+    calls = count_calls(monkeypatch, cal_module, "interior_product", "exterior_derivative")
     assert verify_axioms(A).passed
-    assert calls.count("bracket_sections") == 0
-    assert calls.count("exterior_derivative") == 2 * 15
+    assert brackets["bracket_sections"] == 0
+    assert calls["exterior_derivative"] == 2 * 15
     calls.clear()
     assert delta_reconstruct(A.chart, A.rank, d_operator(A)) == A
-    assert calls.count("interior_product") == 0
-    calls.clear()
+    assert calls["interior_product"] == 0
     assert verify_axioms(construct_lie_algebra(64)).passed
-    assert calls.count("bracket_sections") == 0
+    assert brackets["bracket_sections"] == 0
 
 
 def test_d_requires_form():

@@ -157,6 +157,9 @@ BAD_MODELS = [
     ("missing equals sign", ALGEBROID_HEADER + "anchor[1][1]\n", "expected 'key = value'"),
     ("rank not an integer", '[algebroid]\nbase = [ "x1" ]\nrank = two\n', "rank must be an integer"),
     ("negative rank", '[algebroid]\nbase = [ "x1" ]\nrank = -1\n', "nonnegative"),
+    # int() reads any Unicode digit; indices and rank are ASCII digits only
+    ("non-ASCII rank digit", "[algebroid]\nbase = [ ]\nrank = \u0662\n", "rank must be an integer"),
+    ("non-ASCII key digits", '[poisson]\nbase = [ "x1", "x2" ]\nL[\u0661][\u0662] = "x1"\n', "unknown key"),
     ("unquoted entry", ALGEBROID_HEADER + "anchor[1][1] = x1\n", "expected a quoted string"),
     ("base not a list", '[algebroid]\nbase = "x1"\nrank = 1\n', "expected a"),
     ("unquoted base name", "[algebroid]\nbase = [ x1 ]\nrank = 1\n", "quoted coordinate names"),
@@ -364,6 +367,8 @@ def invocations(draw):
 @example(text=power_model("2^" + "9" * 400), invocation=["poisson-check"])
 @example(text=power_model("x1^²"), invocation=["poisson-check"])
 @example(text=power_model("x1^" + "9" * 5000), invocation=["poisson-check"])
+@example(text='[poisson]\nbase = [ "x1", "x2" ]\nL[1][' + "9" * 5000 + '] = "1"\n', invocation=["poisson-check"])
+@example(text='[algebroid]\nbase = [ "x1" ]\nrank = 1\n[form w]\n' + "9" * 5000 + ' = "1"\n', invocation=["check"])
 def test_exit_code_contract(text, invocation):
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as work:

@@ -29,6 +29,7 @@ from algebroids.expr import Expr
 import util
 from util import (
     broken_jacobi,
+    count_calls,
     heisenberg,
     liouville_homogeneity,
     random_mixed,
@@ -208,23 +209,11 @@ def test_dual_work_follows_entries(monkeypatch):
     # interior_product and 105 poisson_bracket calls here; both read the
     # bivector's entries instead.
     A = construct_lie_algebra(15, so_n_constants(6))
-    calls = []
-
-    def counting(module, name):
-        original = getattr(module, name)
-
-        def wrapper(*args):
-            calls.append(name)
-            return original(*args)
-
-        monkeypatch.setattr(module, name, wrapper)
-
-    counting(cal_module, "schouten_bracket")
-    counting(cal_module, "interior_product")
-    counting(poi_module, "poisson_bracket")
+    calls = count_calls(monkeypatch, cal_module, "schouten_bracket", "interior_product")
+    brackets = count_calls(monkeypatch, poi_module, "poisson_bracket")
     ps = dual_poisson(A)
-    assert ps.verified and calls == []
-    assert homogeneity_check(ps).is_zero() and calls == []
+    assert ps.verified and not calls and not brackets
+    assert homogeneity_check(ps).is_zero() and not calls and not brackets
 
 
 def test_homogeneity_rejects_plain_structures():

@@ -5,6 +5,7 @@ is reproducible; coefficients stay at polynomial degree <= 2 to keep the
 exact arithmetic fast.
 """
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -259,6 +260,77 @@ def dense_lie_multivector(algebroid, V, P):
             total = algebroid.apply_anchor_section(vcoeffs, value) if value else ZERO
             _accumulate(out, p, I, total - correction)
     return GradedElement(algebroid, MULTIVECTOR, out)
+
+
+def _interior_basis(a, components):
+    """One contraction i(e_a) on a form's component table."""
+    out = {}
+    for degree, table in components.items():
+        if degree == 0:
+            continue
+        for index, value in table.items():
+            if a not in index:
+                continue
+            r = index.index(a)
+            reduced = index[:r] + index[r + 1 :]
+            _accumulate(out, degree - 1, reduced, -value if r & 1 else value)
+    return out
+
+
+def chained_interior(P, eta):
+    """Contraction of a form by a multivector, one factor at a time: a
+    monomial e_{i1}∧...∧e_{ip} acts as i(e_{i1})∘...∘i(e_{ip}), innermost
+    factor applied first, each contraction building a new table.
+
+    The reference for the library's interior_product, which emits
+    ±e^{K minus J} once per term pair with J ⊆ K.
+    """
+    _require_variance(P, MULTIVECTOR, "interior_product")
+    _require_variance(eta, FORM, "interior_product")
+    if not P.algebroid.same_shape(eta.algebroid):
+        raise ValueError("interior_product: elements live over different charts or ranks")
+    out = {}
+    for p, tp in P.components.items():
+        for index, coeff in tp.items():
+            current = eta.components
+            for a in reversed(index):
+                current = _interior_basis(a, current)
+            for degree, table in current.items():
+                for J, value in table.items():
+                    _accumulate(out, degree, J, coeff * value)
+    return GradedElement(eta.algebroid, FORM, out)
+
+
+def dense_pairing(eta, P):
+    """Scalar pairing by looking each of eta's index tuples up in P's table
+    of the same degree: the reference for the library's pairing."""
+    total = ZERO
+    for degree, table in eta.components.items():
+        other = P.components.get(degree)
+        if not other:
+            continue
+        for index, value in table.items():
+            pv = other.get(index)
+            if pv is not None:
+                total = total + value * pv
+    return total
+
+
+def count_calls(monkeypatch, owner, *names):
+    """Wrap the named attributes of a module or class so that each call is
+    counted; returns the Counter of calls by name."""
+    counts = Counter()
+
+    def counted(name, original):
+        def wrapper(*args):
+            counts[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    return counts
 
 
 def dense_axioms(algebroid):
